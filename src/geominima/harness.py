@@ -7,8 +7,9 @@ is established at the stated tolerance, ``fail`` only when the violation is
 logically sound given the estimator's bound direction, and ``inconclusive``
 when a one-sided estimate cannot decide the claim.  An upper-bound estimate
 can prove an upper inequality and can never refute it; symmetrically for
-lower bounds.  For balls and ellipsoids the estimator is tight (closed
-forms), so those instances are tested two-sided and must hit equality cases.
+lower bounds.  For balls and ellipsoids an estimate that meets its closed
+form is tight, so those instances are tested two-sided and must hit equality
+cases.
 
 Reports are deterministic for a fixed seed: byte-identical JSON, no wall
 clock anywhere in the output.
@@ -18,16 +19,18 @@ import csv
 import io
 import json
 import math
-import os
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .bodies import (
     ConvexBody,
     Ellipsoid,
+    FourierBody2D,
     HPolytope,
     ShiftedBall,
+    ShiftedEllipsoid,
     VPolytope,
     _Polytope,
     ball,
@@ -42,17 +45,7 @@ from .grids import default_grid, unit_ball_volume
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
-ALL_CHECKS = (
-    "homogeneity",
-    "translation_balls",
-    "volume_product",
-    "santalo_style",
-    "isoperimetric",
-    "containment",
-    "p_surface",
-    "cyclic_monotone",
-    "blaschke_santalo",
-)
+_DEFAULT_TOLERANCES = {"exact": 1e-9, "quadrature": 1e-6, "estimator": 1e-4}
 
 
 @dataclass(eq=False)
@@ -67,16 +60,7 @@ class CheckResult:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "instance": self.instance,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-            "note": self.note,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -95,13 +79,21 @@ class HarnessConfig:
     n_random: int = 2
     mahler_count: int = 200
     bm_constant: float = 0.5
-    tolerances: dict = field(default_factory=lambda: {
-        "exact": 1e-9, "quadrature": 1e-6, "estimator": 1e-4})
+    tolerances: dict = field(default_factory=dict)
     restarts: int = 2
     grid_resolution: int = 2048
-    checks: tuple = ALL_CHECKS
+    checks: tuple = field(default_factory=lambda: tuple(_CHECKS))
 
     def __post_init__(self):
+        self.dims, self.p_grid, self.checks = (
+            tuple(self.dims), tuple(self.p_grid), tuple(self.checks))
+        # given tolerances override the defaults key by key
+        self.tolerances = {**_DEFAULT_TOLERANCES, **self.tolerances}
+        for key, value in self.tolerances.items():
+            if key not in _DEFAULT_TOLERANCES:
+                raise InputError(f"unknown tolerance {key!r}")
+            if not (isinstance(value, (int, float)) and value > 0):
+                raise InputError(f"tolerance {key!r} must be a positive number")
         if not 0.0 < self.bm_constant <= 1.0:
             raise InputError("bm_constant must lie in (0, 1]")
         if any(d not in (2, 3) for d in self.dims):
@@ -111,7 +103,7 @@ class HarnessConfig:
         for d in self.dims:
             if not self.orders_for(d):
                 raise InputError(f"p grid leaves no admissible orders for n = {d}")
-        unknown = set(self.checks) - set(ALL_CHECKS)
+        unknown = set(self.checks) - set(_CHECKS)
         if unknown:
             raise InputError(f"unknown checks: {sorted(unknown)}")
 
@@ -120,26 +112,12 @@ class HarnessConfig:
         return tuple(p for p in self.p_grid if abs(p + n) >= 0.25)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "dims": list(self.dims),
-            "p_grid": list(self.p_grid),
-            "n_random": self.n_random,
-            "mahler_count": self.mahler_count,
-            "bm_constant": self.bm_constant,
-            "tolerances": dict(self.tolerances),
-            "restarts": self.restarts,
-            "grid_resolution": self.grid_resolution,
-            "checks": list(self.checks),
-        }
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "HarnessConfig":
-        kwargs = dict(data)
-        for key in ("dims", "p_grid", "checks"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +170,19 @@ def suite_bodies(config: HarnessConfig, dim: int) -> dict:
 # estimate cache with volume-product fallback
 # ---------------------------------------------------------------------------
 
-def _body_key(K: ConvexBody) -> str:
+def _body_key(K: ConvexBody):
+    """Content key.  A body with no JSON form is its own (identity) key, and
+    the cache holding it keeps another body from taking over its id."""
     try:
         return json.dumps(K.to_json(), sort_keys=True)
     except (UnsupportedError, GeominimaError):
-        return repr(id(K))
+        return K
 
 
 @dataclass(eq=False, frozen=True)
 class _GpRecord:
     value: float
-    tight: bool          # closed-form exact (balls/ellipsoids)
+    tight: bool          # ellipsoid estimate that meets its closed form
     kind: str            # "estimate" or "volume-cap"
     cap_self: float      # objective at Q = K
     cap_ball: float | None   # objective at Q = B, when computable
@@ -227,19 +207,22 @@ class _GpCache:
         return self._store[key]
 
     def _compute(self, K, p):
-        tight = isinstance(K, Ellipsoid)
         try:
             est = estimate_gp(K, p, restarts=self.config.restarts,
                               seed=self.config.seed, maxiter=250,
                               grid=default_grid(K.dim, self.config.grid_resolution))
-            return _GpRecord(est.value, tight, "estimate",
-                             est.objective_at_K, est.objective_at_B)
         except (UnsupportedError, DomainError, InputError):
             n = K.dim
             log_j = math.log(n) + (n / (n + p)) * math.log(K.volume()) \
                 + (p / (n + p)) * math.log(K.polar().volume())
             cap = math.exp(log_j)
             return _GpRecord(cap, False, "volume-cap", cap, None)
+        # an ellipsoid estimate is tight only when it meets its closed form
+        tight = False
+        if isinstance(K, Ellipsoid):
+            exact = gp_ellipsoid_exact(np.linalg.det(K.matrix), K.dim, p)
+            tight = abs(est.value - exact) <= self.config.tolerances["estimator"] * exact
+        return _GpRecord(est.value, tight, "estimate", est.objective_at_K, est.objective_at_B)
 
 
 def gp_ellipsoid_exact(det: float, n: int, p: float) -> float:
@@ -298,23 +281,20 @@ def _support_bounds(K: ConvexBody):
     Exact for polytopes (facet offsets span the support minimum, vertex
     norms the maximum) and quadrics (singular values plus center norm);
     dense sampling with a cushion for trigonometric bodies."""
-    from .bodies import Ellipsoid as _E, FourierBody2D as _F
-    from .bodies import ShiftedBall as _SB, ShiftedEllipsoid as _SE
-
     if isinstance(K, _Polytope):
         _, offsets, _ = K.facet_data()
         return float(np.min(offsets)), float(np.max(np.linalg.norm(K.vertices, axis=1)))
-    if isinstance(K, _E):
+    if isinstance(K, Ellipsoid):
         sv = np.linalg.svd(K.matrix, compute_uv=False)
         return float(sv[-1]), float(sv[0])
-    if isinstance(K, _SE):
+    if isinstance(K, ShiftedEllipsoid):
         sv = np.linalg.svd(K.matrix, compute_uv=False)
         c = float(np.linalg.norm(K.center))
         return float(sv[-1]) - c, float(sv[0]) + c
-    if isinstance(K, _SB):
+    if isinstance(K, ShiftedBall):
         c = float(np.linalg.norm(K.center))
         return K.radius - c, K.radius + c
-    if isinstance(K, _F):
+    if isinstance(K, FourierBody2D):
         t = np.linspace(0, 2 * math.pi, 8192, endpoint=False)
         h = K.support_angle(t)
         return 0.995 * float(np.min(h)), 1.005 * float(np.max(h))
@@ -336,11 +316,10 @@ def check_homogeneity(K: ConvexBody, T, p: float, config: HarnessConfig,
     T = np.asarray(T, dtype=float)
     factor = abs(np.linalg.det(T)) ** ((n - p) / (n + p))
     if isinstance(K, Ellipsoid):
-        lhs = cache.bound(K.linear_map(T), p).value
-        rhs = factor * cache.bound(K, p).value
+        rec_t, rec = cache.bound(K.linear_map(T), p), cache.bound(K, p)
+        lhs, rhs = rec_t.value, factor * rec.value
         tol = config.tolerances["estimator"]
-        margin = rhs - lhs
-        verdict = PASS if abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs)) else FAIL
+        tight = rec_t.tight and rec.tight
         note = "tight ellipsoid estimates on both sides"
     else:
         # matched-candidate transform identity at the unit-ball probe
@@ -349,9 +328,14 @@ def check_homogeneity(K: ConvexBody, T, p: float, config: HarnessConfig,
         lhs = gp_objective(K.linear_map(T), Q.linear_map(T), p, grid)
         rhs = factor * gp_objective(K, Q, p, grid)
         tol = config.tolerances["exact"]
-        margin = rhs - lhs
-        verdict = PASS if abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs)) else FAIL
+        tight = True     # both sides are exact objective values
         note = "objective transform identity at the unit-ball candidate"
+    margin = rhs - lhs
+    if abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs)):
+        verdict = PASS
+    else:
+        # a gap between estimates that miss their closed form refutes nothing
+        verdict = FAIL if tight else INCONCLUSIVE
     return CheckResult("homogeneity", _instance(K, name, p=p, det=float(np.linalg.det(T))),
                        lhs, rhs, margin, verdict, tol, note)
 
@@ -366,10 +350,7 @@ def check_translation_balls(z0, p: float, config: HarnessConfig) -> CheckResult:
     value = gp_ball_shifted(z0, 1.0, p, resolution=config.grid_resolution)
     strict = 1e-8
     shifted = np.linalg.norm(z0) > 0
-    if p > 0:
-        margin = base - value
-    else:
-        margin = value - base
+    margin = base - value if p > 0 else value - base
     if shifted:
         verdict = PASS if margin > strict else FAIL
     else:
@@ -391,10 +372,7 @@ def check_volume_product_bound(K: ConvexBody, p: float, config: HarnessConfig,
     cap = rec.cap_self
     tol = 1e-12
     results = []
-    if p >= 0:
-        margin = cap - rec.value
-    else:
-        margin = rec.value - cap
+    margin = cap - rec.value if p >= 0 else rec.value - cap
     verdict = PASS if margin >= -tol * abs(cap) else FAIL
     results.append(CheckResult("volume_product_bound", _instance(K, name, p=p),
                                rec.value, cap, margin, verdict, tol,
@@ -403,10 +381,7 @@ def check_volume_product_bound(K: ConvexBody, p: float, config: HarnessConfig,
     Kp = K.polar()
     lhs = rec.value * cache.bound(Kp, p).value
     rhs = n * n * K.volume() * Kp.volume()
-    if p >= 0:
-        margin2 = rhs - lhs
-    else:
-        margin2 = lhs - rhs
+    margin2 = rhs - lhs if p >= 0 else lhs - rhs
     verdict2 = PASS if margin2 >= -config.tolerances["quadrature"] * abs(rhs) else FAIL
     results.append(CheckResult("volume_product_pair", _instance(K, name, p=p),
                                lhs, rhs, margin2, verdict2, config.tolerances["quadrature"],
@@ -557,10 +532,7 @@ def check_p_surface_comparison(K: ConvexBody, p: float, config: HarnessConfig,
     sp = p_surface_area(K, p, grid)
     rhs = (sp / (n * omega)) ** (n / (n + p))
     tol = 1e-12
-    if p >= 0:
-        margin = rhs - lhs
-    else:
-        margin = lhs - rhs
+    margin = rhs - lhs if p >= 0 else lhs - rhs
     verdict = PASS if margin >= -tol * max(abs(rhs), 1.0) else FAIL
     return CheckResult("p_surface", _instance(K, name, p=p),
                        lhs, rhs, margin, verdict, tol,
@@ -701,13 +673,130 @@ def _summarize(results):
     return summary
 
 
-def _map_maybe_parallel(fn, items):
-    threads = int(os.environ.get("GEOMINIMA_THREADS", "1") or "1")
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+# ---------------------------------------------------------------------------
+# check table
+# ---------------------------------------------------------------------------
+
+def _homogeneity_map(config: HarnessConfig, dim: int):
+    """The invertible map of the homogeneity check, drawn from the seed."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, dim]))
+    return rng.standard_normal((dim, dim)) + dim * np.eye(dim)
+
+
+def _containment_ellipsoid(K: ConvexBody, p: float):
+    """Origin ball around K when p lies in (0, n) or below -n, inside K when
+    p > n or -n < p < 0; the regime fixes which containment is needed."""
+    n = K.dim
+    lo, hi = _support_bounds(K)
+    scale = hi * 1.05 if (0 < p < n or p < -n) else lo * 0.95
+    return Ellipsoid(np.eye(n) * scale)
+
+
+def _run_chain(K, params, config, cache, name):
+    if params["kind"] == "holder":
+        params = {**params, "Q": Ellipsoid(np.diag([1.5] + [0.8] * (K.dim - 1)))}
+    return check_cyclic_and_monotone(K, params, config, name)
+
+
+def _homogeneity_instances(config, dim, bodies):
+    for name, K in bodies.items():
+        if isinstance(K, (Ellipsoid, _Polytope)):
+            for p in config.orders_for(dim)[:3]:
+                yield name, K, {"p": p}
+
+
+def _shift_instances(config, dim, bodies):
+    for mag in (0.1, 0.5, 0.9):
+        z0 = [mag] + [0.0] * (dim - 1)
+        for p in (0.25, 0.5, 0.75, -0.5, -1.0, -1.5):
+            if -dim < p < 1 and abs(p) > 1e-12:
+                yield "", None, {"z0": z0, "p": p}
+
+
+def _body_orders(config, dim, bodies):
+    for name, K in bodies.items():
+        for p in config.orders_for(dim):
+            yield name, K, {"p": p}
+
+
+def _containment_instances(config, dim, bodies):
+    for name, K, params in _body_orders(config, dim, bodies):
+        if params["p"] not in (0, dim, -dim):
+            yield name, K, params
+
+
+def _chain_instances(config, dim, bodies):
+    last = (-3.5, -2.0, -3.8) if dim == 3 else (-2.5, -1.0, -2.8)
+    for det in (0.25, 1.0, 4.0):
+        E = Ellipsoid(np.diag([det] + [1.0] * (dim - 1)))
+        for r, s, t in ((1.0, 2.0, -1.0), (-0.5, -0.25, -1.0), last):
+            yield "", E, {"kind": "cyclic", "r": r, "s": s, "t": t}
+        for q, p in ((0.5, 1.0), (-1.0, 0.5), (-1.5, -0.5),
+                     (-dim - 2.0, -dim - 1.0), (-dim - 1.0, 1.0)):
+            yield "", E, {"kind": "monotone", "q": q, "p": p}
+    polys = [(name, K) for name, K in bodies.items() if isinstance(K, _Polytope)]
+    for name, K in polys[:2]:
+        for r, s, t in ((1.0, 0.0, 2.0), (1.0, 2.0, -1.0), (0.5, -0.5, 1.5)):
+            yield name, K, {"kind": "holder", "r": r, "s": s, "t": t}
+
+
+def _mahler_instances(config, dim, bodies):
+    for name, K in bodies.items():
+        yield name, K, {}
+    kinds = ["polytope-hull", "ellipsoid"] + (["fourier2d"] if dim == 2 else [])
+    for i in range(config.mahler_count):
+        kind = kinds[i % len(kinds)]
+        seq = np.random.SeedSequence([config.seed, dim, 7, i])
+        yield f"mahler-{kind}-{i}", random_body(kind, dim, rng=np.random.default_rng(seq)), {}
+
+
+# One entry per config check name, in report order:
+# - emits: check id -> the run params its reported instance leaves out;
+# - instances(config, dim, bodies): (name, body, params) in report order;
+# - run(body, params, config, cache, name): a CheckResult or a list of them.
+# The runners look the check functions up when called, so a rebound module
+# attribute is honoured.
+_Check = namedtuple("_Check", "emits instances run")
+
+_CHECKS = {
+    "homogeneity": _Check(
+        {"homogeneity": {}}, _homogeneity_instances,
+        lambda K, pr, cfg, cache, name: check_homogeneity(
+            K, _homogeneity_map(cfg, K.dim), pr["p"], cfg, cache, name)),
+    "translation_balls": _Check(
+        {"translation_balls": {}}, _shift_instances,
+        lambda K, pr, cfg, cache, name: check_translation_balls(pr["z0"], pr["p"], cfg)),
+    "volume_product": _Check(
+        {"volume_product_bound": {}, "volume_product_pair": {}}, _body_orders,
+        lambda K, pr, cfg, cache, name: check_volume_product_bound(
+            K, pr["p"], cfg, cache, name)),
+    "santalo_style": _Check(
+        {"santalo_style": {}}, _body_orders,
+        lambda K, pr, cfg, cache, name: check_santalo_style(K, pr["p"], cfg, cache, name)),
+    "isoperimetric": _Check(
+        {"isoperimetric": {}}, _body_orders,
+        lambda K, pr, cfg, cache, name: check_isoperimetric(
+            K, pr["p"], cfg, cache, name, centered=pr.get("variant") != "uncentered")),
+    "containment": _Check(
+        {"containment": {}}, _containment_instances,
+        lambda K, pr, cfg, cache, name: check_containment(
+            _containment_ellipsoid(K, pr["p"]), K, pr["p"], cfg, cache, name)),
+    "p_surface": _Check(
+        {"p_surface": {}}, _body_orders,
+        lambda K, pr, cfg, cache, name: check_p_surface_comparison(
+            K, pr["p"], cfg, cache, name)),
+    "cyclic_monotone": _Check(
+        {"cyclic_exact": {"kind": "cyclic"}, "monotone_exact": {"kind": "monotone"},
+         "cyclic_holder": {"kind": "holder"}}, _chain_instances, _run_chain),
+    "blaschke_santalo": _Check(
+        {"blaschke_santalo": {}}, _mahler_instances,
+        lambda K, pr, cfg, cache, name: check_blaschke_santalo(K, cfg, name)),
+}
+
+
+def _run(check: _Check, K, params, config, cache, name) -> list:
+    out = check.run(K, params, config, cache, name)
+    return out if isinstance(out, list) else [out]
 
 
 def run_suite(config: HarnessConfig) -> Report:
@@ -716,134 +805,32 @@ def run_suite(config: HarnessConfig) -> Report:
     Deterministic for a fixed seed; the failure list carries serialized
     instances for replay."""
     cache = _GpCache(config)
-    tasks = []       # (callable,) producing CheckResult or list thereof
-
+    # checks over the same instances run instance by instance, so their
+    # results interleave per (body, order)
+    groups = {}
+    for key, check in _CHECKS.items():
+        if key in config.checks:
+            groups.setdefault(check.instances, []).append(check)
+    results = []
     for dim in config.dims:
         bodies = suite_bodies(config, dim)
-        orders = config.orders_for(dim)
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, dim]))
-
-        if "homogeneity" in config.checks:
-            g = rng.standard_normal((dim, dim))
-            T = g + dim * np.eye(dim)
-            for bname, K in bodies.items():
-                if isinstance(K, (Ellipsoid, _Polytope)):
-                    for p in orders[:3]:
-                        tasks.append(lambda K=K, T=T, p=p, bn=bname:
-                                     check_homogeneity(K, T, p, config, cache, bn))
-
-        if "translation_balls" in config.checks:
-            for mag in (0.1, 0.5, 0.9):
-                z0 = np.zeros(dim)
-                z0[0] = mag
-                for p in (0.25, 0.5, 0.75, -0.5, -1.0, -1.5):
-                    if -dim < p < 1 and abs(p) > 1e-12:
-                        tasks.append(lambda z0=z0, p=p:
-                                     check_translation_balls(z0, p, config))
-
-        for bname, K in bodies.items():
-            for p in orders:
-                if "volume_product" in config.checks:
-                    tasks.append(lambda K=K, p=p, bn=bname:
-                                 check_volume_product_bound(K, p, config, cache, bn))
-                if "santalo_style" in config.checks:
-                    tasks.append(lambda K=K, p=p, bn=bname:
-                                 check_santalo_style(K, p, config, cache, bn))
-                if "isoperimetric" in config.checks:
-                    tasks.append(lambda K=K, p=p, bn=bname:
-                                 check_isoperimetric(K, p, config, cache, bn))
-                if "p_surface" in config.checks:
-                    tasks.append(lambda K=K, p=p, bn=bname:
-                                 check_p_surface_comparison(K, p, config, cache, bn))
-
-        if "containment" in config.checks:
-            for bname, K in bodies.items():
-                lo, hi = _support_bounds(K)
-                outer = Ellipsoid(np.eye(dim) * hi * 1.05)
-                inner = Ellipsoid(np.eye(dim) * lo * 0.95)
-                for p in orders:
-                    if 0 < p < dim or p < -dim:
-                        E = outer
-                    elif p > dim or -dim < p < 0:
-                        E = inner
-                    else:
-                        continue
-                    tasks.append(lambda E=E, K=K, p=p, bn=bname:
-                                 check_containment(E, K, p, config, cache, bn))
-
-        if "cyclic_monotone" in config.checks:
-            for det in (0.25, 1.0, 4.0):
-                E = Ellipsoid(np.diag([det] + [1.0] * (dim - 1)))
-                cyclic_params = [(1.0, 2.0, -1.0), (-0.5, -0.25, -1.0)]
-                if dim == 3:
-                    cyclic_params.append((-3.5, -2.0, -3.8))
-                else:
-                    cyclic_params.append((-2.5, -1.0, -2.8))
-                for (r, s, t) in cyclic_params:
-                    tasks.append(lambda E=E, r=r, s=s, t=t:
-                                 check_cyclic_and_monotone(
-                                     E, {"kind": "cyclic", "r": r, "s": s, "t": t}, config))
-                for (q, p) in ((0.5, 1.0), (-1.0, 0.5), (-1.5, -0.5),
-                               (-dim - 2.0, -dim - 1.0), (-dim - 1.0, 1.0)):
-                    tasks.append(lambda E=E, q=q, p=p:
-                                 check_cyclic_and_monotone(
-                                     E, {"kind": "monotone", "q": q, "p": p}, config))
-            polys = [(bn, K) for bn, K in bodies.items() if isinstance(K, _Polytope)]
-            for bname, K in polys[:2]:
-                Q = Ellipsoid(np.diag([1.5] + [0.8] * (dim - 1)))
-                for (r, s, t) in ((1.0, 0.0, 2.0), (1.0, 2.0, -1.0), (0.5, -0.5, 1.5)):
-                    tasks.append(lambda K=K, Q=Q, r=r, s=s, t=t, bn=bname:
-                                 check_cyclic_and_monotone(
-                                     K, {"kind": "holder", "Q": Q, "r": r, "s": s, "t": t},
-                                     config, bn))
-
-        if "blaschke_santalo" in config.checks:
-            for bname, K in bodies.items():
-                tasks.append(lambda K=K, bn=bname: check_blaschke_santalo(K, config, bn))
-            kinds = ["polytope-hull", "ellipsoid"] + (["fourier2d"] if dim == 2 else [])
-            for i in range(config.mahler_count):
-                kind = kinds[i % len(kinds)]
-                seed_i = np.random.SeedSequence([config.seed, dim, 7, i])
-                K = random_body(kind, dim, rng=np.random.default_rng(seed_i))
-                tasks.append(lambda K=K, i=i, kind=kind:
-                             check_blaschke_santalo(K, config, f"mahler-{kind}-{i}"))
-
-    raw = _map_maybe_parallel(lambda t: t(), tasks)
-    results = []
-    for item in raw:
-        if isinstance(item, list):
-            results.extend(item)
-        else:
-            results.append(item)
-
+        for instances, group in groups.items():
+            for name, K, params in instances(config, dim, bodies):
+                for check in group:
+                    results.extend(_run(check, K, params, config, cache, name))
     failures = [r.to_json() for r in results if r.verdict == FAIL]
     return Report(config=config.to_dict(), results=results,
                   summary=_summarize(results), failures=failures)
 
 
-_REPLAYABLE = {
-    "volume_product_bound": lambda body, params, cfg:
-        check_volume_product_bound(body, params["p"], cfg)[0],
-    "volume_product_pair": lambda body, params, cfg:
-        check_volume_product_bound(body, params["p"], cfg)[1],
-    "santalo_style": lambda body, params, cfg:
-        check_santalo_style(body, params["p"], cfg),
-    "isoperimetric": lambda body, params, cfg:
-        check_isoperimetric(body, params["p"], cfg),
-    "p_surface": lambda body, params, cfg:
-        check_p_surface_comparison(body, params["p"], cfg),
-    "blaschke_santalo": lambda body, params, cfg:
-        check_blaschke_santalo(body, cfg),
-    "translation_balls": lambda body, params, cfg:
-        check_translation_balls(params["z0"], params["p"], cfg),
-}
-
-
 def replay_instance(serialized: dict, config: HarnessConfig) -> CheckResult:
     """Re-run a single serialized check instance; margins must reproduce."""
     check_id = serialized["check_id"]
-    if check_id not in _REPLAYABLE:
-        raise InputError(f"check {check_id!r} does not support replay")
+    check = next((c for c in _CHECKS.values() if check_id in c.emits), None)
+    if check is None:
+        raise InputError(f"unknown check {check_id!r}")
     inst = serialized["instance"]
     body = body_from_json(inst["body"]) if "body" in inst else None
-    return _REPLAYABLE[check_id](body, inst["params"], config)
+    params = {**inst["params"], **check.emits[check_id]}
+    results = _run(check, body, params, config, _GpCache(config), inst.get("name", ""))
+    return next(r for r in results if r.check_id == check_id)

@@ -147,6 +147,38 @@ def test_verify_malformed_config(tmp_path):
     assert main(["verify", "--config", str(bad2)]) == 2
 
 
+def test_verify_partial_tolerances(tmp_path):
+    cfg = {"dims": [2], "p_grid": [1.0], "n_random": 0, "mahler_count": 0,
+           "restarts": 2, "grid_resolution": 512, "checks": ["homogeneity"],
+           "tolerances": {"exact": 1e-9}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["tolerances"] == {
+        "exact": 1e-9, "quadrature": 1e-6, "estimator": 1e-4}
+
+
+@pytest.mark.parametrize("tolerances", [{"nonsense": 1e-3}, {"exact": 0.0},
+                                        {"estimator": -1e-4}])
+def test_verify_rejects_bad_tolerances(tmp_path, tolerances):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"tolerances": tolerances}))
+    assert main(["verify", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_compute_negative_first_order(ball_file, capsys):
+    assert main(["compute", "--body", ball_file, "--quantities", "sp",
+                 "--p", "-1,1"]) == 0
+    spaced = json.loads(capsys.readouterr().out)
+    assert main(["compute", "--body", ball_file, "--quantities", "sp",
+                 "--p=-1,1"]) == 0
+    assert json.loads(capsys.readouterr().out) == spaced
+    assert set(spaced["sp"]) == {"-1.0", "1.0"}
+
+
 def test_generate_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

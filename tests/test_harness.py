@@ -11,6 +11,7 @@ from geominima import (
     HPolytope,
     HarnessConfig,
     InputError,
+    LinearImage,
     VPolytope,
     ball,
     canonical_bodies,
@@ -29,7 +30,7 @@ from geominima import (
     run_suite,
     unit_ball_volume,
 )
-from geominima.harness import _one_sided
+from geominima.harness import _GpCache, _one_sided
 
 TWO_PI = 2 * math.pi
 
@@ -254,9 +255,15 @@ def test_config_validation():
         HarnessConfig(checks=("nonsense",))
     with pytest.raises(InputError):
         HarnessConfig(dims=(2,), p_grid=(-2.0, -1.9))
+    with pytest.raises(InputError):
+        HarnessConfig(tolerances={"nonsense": 1e-3})
+    with pytest.raises(InputError):
+        HarnessConfig(tolerances={"exact": 0.0})
     cfg = HarnessConfig()
     assert -3.0 in cfg.orders_for(2)
     assert -3.0 not in cfg.orders_for(3)
+    partial = HarnessConfig(tolerances={"exact": 1e-8})
+    assert partial.tolerances == {"exact": 1e-8, "quadrature": 1e-6, "estimator": 1e-4}
 
 
 def test_canonical_bodies_fixed():
@@ -267,8 +274,13 @@ def test_canonical_bodies_fixed():
         "ball3", "cube", "octahedron", "ellipsoid-3", "shifted-ball3"}
 
 
-def test_run_suite_small_clean():
-    report = run_suite(small_config())
+@pytest.fixture(scope="module")
+def small_report():
+    return run_suite(small_config())
+
+
+def test_run_suite_small_clean(small_report):
+    report = small_report
     assert report.exit_status == 0
     assert all(r.verdict in ("pass", "inconclusive") for r in report.results)
     assert report.summary
@@ -306,6 +318,51 @@ def test_run_suite_aggressive_constant_fails_and_replays():
     replayed = replay_instance(failing, cfg)
     assert replayed.verdict == "fail"
     assert replayed.margin == pytest.approx(failing["margin"], abs=1e-12)
+
+
+def test_every_emitted_check_id_replays(small_report):
+    last = {r.check_id: r for r in small_report.results}
+    assert set(last) == {
+        "homogeneity", "translation_balls", "volume_product_bound", "volume_product_pair",
+        "santalo_style", "isoperimetric", "containment", "p_surface", "cyclic_exact",
+        "monotone_exact", "cyclic_holder", "blaschke_santalo"}
+    for check_id, original in last.items():
+        replayed = replay_instance(original.to_json(), small_config())
+        assert replayed.check_id == check_id
+        assert replayed.instance == original.instance
+        assert replayed.verdict == original.verdict
+        assert replayed.margin == pytest.approx(original.margin, rel=1e-12, abs=0.0)
+
+
+def test_replay_rejects_unknown_check_id():
+    with pytest.raises(InputError):
+        replay_instance({"check_id": "nonsense", "instance": {"params": {}}}, small_config())
+
+
+def test_homogeneity_estimates_off_closed_form_are_inconclusive():
+    # at this seed the 3-D ellipsoid images TK miss their closed form by
+    # more than the estimator tolerance, so their gap refutes nothing
+    report = run_suite(HarnessConfig(seed=21, dims=(3,), checks=("homogeneity",)))
+    assert report.exit_status == 0
+    assert report.summary["homogeneity"]["fail"] == 0
+
+
+def test_cache_does_not_reuse_a_freed_body_record():
+    # a LinearImage has no JSON form, so the cache cannot key it on content;
+    # built right after the first one is released, the second one would
+    # usually take over the first one's memory address and id
+    cfg = small_config()
+    F = random_body("fourier2d", 2, seed=3)
+    T1, T2 = np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([[2.0, 0.0], [0.3, 1.0]])
+    cache = _GpCache(cfg)
+    K = LinearImage(T1, F)
+    first = cache.bound(K, 1.0)
+    del K
+    K = LinearImage(T2, F)
+    second = cache.bound(K, 1.0)
+    assert first.kind == second.kind == "volume-cap"
+    assert second.value == _GpCache(cfg).bound(LinearImage(T2, F), 1.0).value
+    assert second.value != first.value
 
 
 def test_gp_ellipsoid_exact_helper():
