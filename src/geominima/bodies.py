@@ -1,10 +1,13 @@
 """Convex body representations with exact support functions and polar duality.
 
 Every body is immutable after construction and strictly contains the origin.
-Five serializable representations are supported (half-space and vertex
-polytopes, centered ellipsoids, cosine/sine support expansions in the plane,
-and shifted Euclidean balls), plus derived representations produced by
-``polar``, ``translate`` and ``linear_map`` on smooth bodies.
+The representations are half-space and vertex polytopes, quadrics
+c + A * B (one class, ``Ellipsoid``, for centered ellipsoids, balls and their
+shifts), cosine/sine support expansions in the plane, and the sampled planar
+bodies and lazy linear images that ``polar`` and ``linear_map`` produce from
+smooth planar bodies.  A quadric is written to JSON under one of three type
+names, chosen from its content: ``ellipsoid`` (center at the origin),
+``shifted-ball`` (matrix r * I) or ``shifted-ellipsoid``.
 
 Polytope facet data (normals, offsets, facet areas, vertices) is computed
 once at construction, exactly, for n in {2, 3}; every polytope quantity
@@ -24,7 +27,7 @@ from .errors import (
     InputError,
     UnsupportedError,
 )
-from .grids import unit_ball_volume
+from .grids import circle_interp, unit_ball_volume
 
 _UNIT_TOL = 1e-9
 _BOUNDARY_RATIO = 1e-8   # reject bodies whose min support is this fraction of the max
@@ -50,6 +53,17 @@ def _directions(u, dim):
 def _ret(values, single):
     values = np.asarray(values, dtype=float)
     return float(values[0]) if single else values
+
+
+def _floats(x, what):
+    """x as a float array; non-numeric or non-finite input is an InputError."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} must be numeric: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{what} must be finite")
+    return arr
 
 
 def _check_transform(T, dim):
@@ -103,13 +117,24 @@ class ConvexBody:
 # polytopes
 # ---------------------------------------------------------------------------
 
+def _first_occurrences(m, near):
+    """For each of m rows, the index of the kept row it merges into.  Rows
+    are kept in order: row i joins the first kept row j < i it is near, and
+    is kept itself when there is none.  near(j) tests the rows j, j+1, ...
+    against row j in one array operation."""
+    owner = np.full(m, -1)
+    for j in range(m):
+        if owner[j] < 0:
+            owner[j:][near(j) & (owner[j:] < 0)] = j
+            owner[j] = j
+    return owner
+
+
 def _dedupe_rows(points, tol):
-    """Drop near-duplicate rows, keeping first occurrences (O(m^2), small m)."""
-    kept = []
-    for row in points:
-        if not any(np.linalg.norm(row - k) <= tol for k in kept):
-            kept.append(row)
-    return np.array(kept)
+    """Drop near-duplicate rows, keeping first occurrences."""
+    owner = _first_occurrences(
+        len(points), lambda j: np.linalg.norm(points[j:] - points[j], axis=1) <= tol)
+    return points[owner == np.arange(len(points))]
 
 
 def _halfspace_vertices(normals, offsets):
@@ -122,7 +147,7 @@ def _halfspace_vertices(normals, offsets):
     dual_pts = normals / offsets[:, None]
     try:
         hull = ConvexHull(dual_pts)
-    except QhullError as exc:
+    except (QhullError, ValueError) as exc:
         raise InputError(f"degenerate half-space family: {exc}") from exc
     w = hull.equations[:, :-1]
     b = -hull.equations[:, -1]
@@ -134,12 +159,13 @@ def _halfspace_vertices(normals, offsets):
 
 
 def _facet_table(vertices):
-    """Hull vertices plus exact facet (normal, offset, area) data, n in {2,3}."""
+    """Hull vertices and facet (normal, offset, area) data; the areas are
+    exact for n in {2, 3} and None beyond."""
     vertices = np.asarray(vertices, dtype=float)
     dim = vertices.shape[1]
     try:
         hull = ConvexHull(vertices)
-    except QhullError as exc:
+    except (QhullError, ValueError) as exc:
         raise InputError(f"degenerate vertex set: {exc}") from exc
     if dim == 2:
         vs = vertices[hull.vertices]            # counterclockwise
@@ -151,23 +177,22 @@ def _facet_table(vertices):
         offsets = np.einsum("ij,ij->i", normals, vs)
         return vs, normals, offsets, lengths
     if dim == 3:
-        vs = vertices[hull.vertices]
-        reps, offs, areas = [], [], []
-        for simplex, eq in zip(hull.simplices, hull.equations):
-            normal = eq[:3]
-            offset = -eq[3]
-            a, b, c = vertices[simplex]
-            area = 0.5 * np.linalg.norm(np.cross(b - a, c - a))
-            for i, rep in enumerate(reps):
-                if np.dot(rep, normal) >= 1.0 - 1e-10 and abs(offs[i] - offset) <= 1e-9 * (1 + abs(offset)):
-                    areas[i] += area
-                    break
-            else:
-                reps.append(normal)
-                offs.append(offset)
-                areas.append(area)
-        return vs, np.array(reps), np.array(offs), np.array(areas)
-    raise UnsupportedError("exact facet data is limited to dimensions 2 and 3")
+        normals, offsets = hull.equations[:, :3], -hull.equations[:, 3]
+        a, b, c = (vertices[hull.simplices[:, i]] for i in range(3))
+        areas = np.array([0.5 * np.linalg.norm(w) for w in np.cross(b - a, c - a)])
+
+        def coplanar(j):
+            return (normals[j:] @ normals[j] >= 1.0 - 1e-10) & (
+                np.abs(offsets[j] - offsets[j:]) <= 1e-9 * (1 + np.abs(offsets[j:])))
+
+        # coplanar simplices join the first facet on their plane
+        owner = _first_occurrences(len(offsets), coplanar)
+        keep = owner == np.arange(len(owner))
+        # areas add up in simplex order
+        areas = np.bincount(owner, weights=areas, minlength=len(owner))[keep]
+        return vertices[hull.vertices], normals[keep], offsets[keep], areas
+    # beyond three dimensions there are no exact facet areas
+    return vertices[hull.vertices], hull.equations[:, :-1], -hull.equations[:, -1], None
 
 
 class _Polytope(ConvexBody):
@@ -179,17 +204,7 @@ class _Polytope(ConvexBody):
     _fareas: np.ndarray
 
     def _install_facets(self, vertices):
-        if self.dim in (2, 3):
-            vs, normals, offsets, areas = _facet_table(vertices)
-        else:
-            try:
-                hull = ConvexHull(vertices)
-            except QhullError as exc:
-                raise InputError(f"degenerate vertex set: {exc}") from exc
-            vs = np.asarray(vertices, dtype=float)[hull.vertices]
-            normals = hull.equations[:, :-1]
-            offsets = -hull.equations[:, -1]
-            areas = None
+        vs, normals, offsets, areas = _facet_table(vertices)
         scale = np.max(np.linalg.norm(vs, axis=1))
         if np.min(offsets) <= _BOUNDARY_RATIO * scale:
             raise DomainError("origin too close to the boundary (or outside)")
@@ -265,9 +280,9 @@ class HPolytope(_Polytope):
     are merged, keeping the smallest offset."""
 
     def __init__(self, normals, offsets):
-        normals = np.asarray(normals, dtype=float)
-        offsets = np.asarray(offsets, dtype=float)
-        if normals.ndim != 2 or normals.shape[0] != offsets.shape[0]:
+        normals = _floats(normals, "half-space normals")
+        offsets = _floats(offsets, "half-space offsets")
+        if normals.ndim != 2 or offsets.ndim != 1 or normals.shape[0] != offsets.shape[0]:
             raise InputError("normals must be (m, n) with matching offsets (m,)")
         if normals.shape[1] < 2:
             raise InputError("dimension must be at least 2")
@@ -276,17 +291,14 @@ class HPolytope(_Polytope):
             raise InputError("half-space normals must be unit vectors")
         if np.any(offsets <= 0):
             raise InputError("half-space offsets must be positive")
-        keep_n, keep_h = [], []
-        for u, h in zip(normals, offsets):
-            for i, v in enumerate(keep_n):
-                if np.dot(u, v) >= 1.0 - 1e-12:
-                    keep_h[i] = min(keep_h[i], h)
-                    break
-            else:
-                keep_n.append(u)
-                keep_h.append(h)
-        self.normals = np.array(keep_n)
-        self.offsets = np.array(keep_h)
+        # a normal within 1e-12 of an earlier kept one merges into it
+        owner = _first_occurrences(
+            len(offsets), lambda j: normals[j:] @ normals[j] >= 1.0 - 1e-12)
+        merged = offsets.copy()
+        np.minimum.at(merged, owner, offsets)
+        keep = owner == np.arange(len(owner))
+        self.normals = normals[keep]
+        self.offsets = merged[keep]
         self.dim = self.normals.shape[1]
         vertices = _halfspace_vertices(self.normals, self.offsets)
         self._install_facets(vertices)
@@ -322,7 +334,7 @@ class VPolytope(_Polytope):
     """Convex hull of a finite point set containing the origin strictly."""
 
     def __init__(self, vertices):
-        vertices = np.asarray(vertices, dtype=float)
+        vertices = _floats(vertices, "vertices")
         if vertices.ndim != 2 or vertices.shape[1] < 2:
             raise InputError("vertices must be an (m, n) array with n >= 2")
         self.dim = vertices.shape[1]
@@ -352,92 +364,30 @@ class VPolytope(_Polytope):
 # ---------------------------------------------------------------------------
 
 class Ellipsoid(ConvexBody):
-    """Linear image A * B of the unit ball; support h(u) = |A^T u|."""
+    """The quadric c + A * B, with support h(u) = <c, u> + |A^T u| and the
+    center c at the origin by default.  Balls and shifted balls are
+    ellipsoids; polars and translates of quadrics stay quadrics."""
 
-    def __init__(self, matrix):
-        A = np.asarray(matrix, dtype=float)
+    def __init__(self, matrix, center=None):
+        A = _floats(matrix, "ellipsoid matrix")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise InputError("ellipsoid matrix must be square")
         if A.shape[0] < 2:
             raise InputError("dimension must be at least 2")
+        c = np.zeros(A.shape[0]) if center is None else _floats(center, "ellipsoid center")
+        if c.shape != (A.shape[0],):
+            raise InputError("the center must be a vector matching the matrix")
         det = np.linalg.det(A)
-        if abs(det) <= 1e-12:
-            raise InputError("ellipsoid matrix is singular")
-        self.matrix = A
-        self.dim = A.shape[0]
-        self._det = abs(det)
-        self._inv = np.linalg.inv(A)
-
-    def support(self, u):
-        mat, single = _directions(u, self.dim)
-        return _ret(np.linalg.norm(mat @ self.matrix, axis=1), single)
-
-    def radial(self, u):
-        mat, single = _directions(u, self.dim)
-        return _ret(1.0 / np.linalg.norm(mat @ self._inv.T, axis=1), single)
-
-    def polar(self):
-        return Ellipsoid(self._inv.T)
-
-    def volume(self):
-        return self._det * unit_ball_volume(self.dim)
-
-    def linear_map(self, T):
-        T = _check_transform(T, self.dim)
-        return Ellipsoid(T @ self.matrix)
-
-    def translate(self, z):
-        z = np.asarray(z, dtype=float)
-        if np.linalg.norm(z) == 0.0:
-            return self
-        M = self.matrix @ self.matrix.T
-        r2 = M[0, 0]
-        if np.allclose(M, r2 * np.eye(self.dim), rtol=0, atol=1e-14 * abs(r2)):
-            return ShiftedBall(-z, math.sqrt(r2))
-        return ShiftedEllipsoid(self.matrix, -z)
-
-    def centroid(self):
-        return np.zeros(self.dim)
-
-    def curvature_values(self, u):
-        """f(u) = det(A)^2 / |A^T u|^{n+1}, the surface-area density."""
-        mat, single = _directions(u, self.dim)
-        h = np.linalg.norm(mat @ self.matrix, axis=1)
-        return _ret(self._det ** 2 / h ** (self.dim + 1), single)
-
-    def to_json(self):
-        return {"dim": self.dim, "repr": {"type": "ellipsoid", "matrix": self.matrix.tolist()}}
-
-
-def ball(n: int) -> Ellipsoid:
-    """The unit Euclidean ball as an ellipsoid with identity matrix."""
-    return Ellipsoid(np.eye(n))
-
-
-class ShiftedEllipsoid(ConvexBody):
-    """c + A * B, an ellipsoid centered away from the origin.
-
-    Produced by translating ellipsoids and by polarizing shifted balls; both
-    the polar and the radial function stay in closed form.
-    """
-
-    def __init__(self, matrix, center):
-        A = np.asarray(matrix, dtype=float)
-        c = np.asarray(center, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or c.shape != (A.shape[0],):
-            raise InputError("need a square matrix and a matching center vector")
-        det = np.linalg.det(A)
-        if abs(det) <= 1e-12:
-            raise InputError("ellipsoid matrix is singular")
+        if not 1e-12 < abs(det) < math.inf:
+            raise InputError("ellipsoid matrix is singular (or its determinant overflows)")
         self.matrix = A
         self.center = c
         self.dim = A.shape[0]
         self._det = abs(det)
         self._inv = np.linalg.inv(A)
-        q = self._inv @ c
-        if np.linalg.norm(q) >= 1.0 - _BOUNDARY_RATIO:
+        self._q = self._inv @ c
+        if np.linalg.norm(self._q) >= 1.0 - _BOUNDARY_RATIO:
             raise DomainError("origin too close to the boundary (or outside)")
-        self._q = q
 
     def support(self, u):
         mat, single = _directions(u, self.dim)
@@ -452,9 +402,11 @@ class ShiftedEllipsoid(ConvexBody):
         return _ret((wq + np.sqrt(disc)) / w2, single)
 
     def polar(self):
+        A, c = self.matrix, self.center
+        if not c.any():
+            return Ellipsoid(self._inv.T)
         # {y : y^T M y + 2<c,y> <= 1} with M = AA^T - cc^T; completing the
         # square gives the ellipsoid sqrt(s) M^{-1/2} B centered at -M^{-1}c
-        A, c = self.matrix, self.center
         M = A @ A.T - np.outer(c, c)
         Minv = np.linalg.inv(M)
         s = 1.0 + c @ Minv @ c
@@ -462,97 +414,85 @@ class ShiftedEllipsoid(ConvexBody):
         if np.any(evals <= 0):
             raise DomainError("polar dual degenerates; origin not strictly interior")
         inv_root = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-        return ShiftedEllipsoid(math.sqrt(s) * inv_root, -Minv @ c)
+        return Ellipsoid(math.sqrt(s) * inv_root, -Minv @ c)
 
     def volume(self):
         return self._det * unit_ball_volume(self.dim)
 
     def linear_map(self, T):
         T = _check_transform(T, self.dim)
-        return ShiftedEllipsoid(T @ self.matrix, T @ self.center)
+        return Ellipsoid(T @ self.matrix, T @ self.center)
 
     def translate(self, z):
-        return ShiftedEllipsoid(self.matrix, self.center - np.asarray(z, dtype=float))
+        return Ellipsoid(self.matrix, self.center - np.asarray(z, dtype=float))
 
     def centroid(self):
         return self.center.copy()
 
     def curvature_values(self, u):
-        # the surface-area measure is translation invariant
+        """f(u) = det(A)^2 / |A^T u|^{n+1}, the surface-area density (the
+        surface-area measure is translation invariant)."""
         mat, single = _directions(u, self.dim)
         h = np.linalg.norm(mat @ self.matrix, axis=1)
         return _ret(self._det ** 2 / h ** (self.dim + 1), single)
 
     def to_json(self):
-        return {
-            "dim": self.dim,
-            "repr": {
-                "type": "shifted-ellipsoid",
-                "matrix": self.matrix.tolist(),
-                "center": self.center.tolist(),
-            },
-        }
+        A, c = self.matrix, self.center
+        if not c.any():
+            rep = {"type": "ellipsoid", "matrix": A.tolist()}
+        elif A[0, 0] > 0 and np.array_equal(A, A[0, 0] * np.eye(self.dim)):
+            rep = {"type": "shifted-ball", "center": c.tolist(), "radius": float(A[0, 0])}
+        else:
+            rep = {"type": "shifted-ellipsoid", "matrix": A.tolist(), "center": c.tolist()}
+        return {"dim": self.dim, "repr": rep}
 
 
-class ShiftedBall(ConvexBody):
-    """The ball z0 + r * B with |z0| < r; support h(u) = r + <z0, u>."""
+def is_centered_ellipsoid(K: ConvexBody) -> bool:
+    """True for an ellipsoid centered at the origin (balls included)."""
+    return isinstance(K, Ellipsoid) and not K.center.any()
 
-    def __init__(self, center, radius):
-        c = np.asarray(center, dtype=float)
-        r = float(radius)
-        if c.ndim != 1 or c.shape[0] < 2:
-            raise InputError("center must be a vector of dimension >= 2")
-        if r <= 0:
-            raise InputError("radius must be positive")
-        if r - np.linalg.norm(c) <= _BOUNDARY_RATIO * (r + np.linalg.norm(c)):
-            raise DomainError("origin too close to the boundary (|center| must be < radius)")
-        self.center = c
-        self.radius = r
-        self.dim = c.shape[0]
 
-    def support(self, u):
-        mat, single = _directions(u, self.dim)
-        return _ret(self.radius + mat @ self.center, single)
+def ball(n: int) -> Ellipsoid:
+    """The unit Euclidean ball as an ellipsoid with identity matrix."""
+    return Ellipsoid(np.eye(n))
 
-    def radial(self, u):
-        mat, single = _directions(u, self.dim)
-        s = mat @ self.center
-        return _ret(s + np.sqrt(s ** 2 + self.radius ** 2 - self.center @ self.center), single)
 
-    def polar(self):
-        return ShiftedEllipsoid(self.radius * np.eye(self.dim), self.center).polar()
+def ShiftedEllipsoid(matrix, center) -> Ellipsoid:
+    """The ellipsoid center + matrix * B."""
+    return Ellipsoid(matrix, center)
 
-    def volume(self):
-        return unit_ball_volume(self.dim) * self.radius ** self.dim
 
-    def linear_map(self, T):
-        T = _check_transform(T, self.dim)
-        return ShiftedEllipsoid(self.radius * T, T @ self.center)
-
-    def translate(self, z):
-        return ShiftedBall(self.center - np.asarray(z, dtype=float), self.radius)
-
-    def centroid(self):
-        return self.center.copy()
-
-    def curvature_values(self, u):
-        mat, single = _directions(u, self.dim)
-        return _ret(np.full(mat.shape[0], self.radius ** (self.dim - 1)), single)
-
-    def to_json(self):
-        return {
-            "dim": self.dim,
-            "repr": {
-                "type": "shifted-ball",
-                "center": self.center.tolist(),
-                "radius": self.radius,
-            },
-        }
+def ShiftedBall(center, radius) -> Ellipsoid:
+    """The ball center + radius * B, which must contain the origin strictly."""
+    c, r = _floats(center, "center"), _floats(radius, "radius")
+    if c.ndim != 1 or r.ndim != 0:
+        raise InputError("center must be a vector and radius a number")
+    if r <= 0:
+        raise InputError("radius must be positive")
+    return Ellipsoid(float(r) * np.eye(c.shape[0]), c)
 
 
 # ---------------------------------------------------------------------------
 # smooth planar bodies
 # ---------------------------------------------------------------------------
+
+def _trig(a, b, theta, *orders):
+    """[h^(order) for each order in orders], at most second derivatives, of
+    h(t) = sum_k a_k cos(kt) + b_k sin(kt) at the angle(s) theta, from one
+    cos/sin evaluation."""
+    k = np.arange(a.shape[0], dtype=float)
+    ang = np.multiply.outer(np.asarray(theta, dtype=float), k)
+    ct, st = np.cos(ang), np.sin(ang)
+    out = []
+    for order in orders:
+        if order == 0:
+            out.append(ct @ a + st @ b)
+        elif order == 1:
+            out.append((-st * k) @ a + (ct * k) @ b)
+        else:
+            out.append(-(ct * k ** 2) @ a - (st * k ** 2) @ b)
+    return out
+
 
 class FourierBody2D(ConvexBody):
     """Planar body given by a trigonometric support expansion
@@ -565,47 +505,30 @@ class FourierBody2D(ConvexBody):
     _CHECK_N = 2048
 
     def __init__(self, a, b=None):
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        if b is None:
-            b = np.zeros_like(a)
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        if a.shape != b.shape or a.ndim != 1:
-            raise InputError("coefficient arrays a and b must be equal-length vectors")
+        a = np.atleast_1d(_floats(a, "coefficients a"))
+        b = np.zeros_like(a) if b is None else np.atleast_1d(_floats(b, "coefficients b"))
+        if a.shape != b.shape or a.ndim != 1 or a.shape[0] == 0:
+            raise InputError("coefficient arrays a and b must be equal-length nonempty vectors")
         b = b.copy()
         b[0] = 0.0
         self.a = a
         self.b = b
         self.dim = 2
-        self._k = np.arange(a.shape[0], dtype=float)
         thetas = 2.0 * math.pi * np.arange(self._CHECK_N) / self._CHECK_N
-        h = self._trig(thetas, 0)
+        h, h2 = _trig(a, b, thetas, 0, 2)
         if np.min(h) <= 0 or np.min(h) <= _BOUNDARY_RATIO * np.max(h):
             raise DomainError("origin too close to the boundary (support nearly vanishes)")
-        fk = h + self._trig(thetas, 2)
-        if np.min(fk) < -1e-9 * np.max(np.abs(h)):
+        if np.min(h + h2) < -1e-9 * np.max(np.abs(h)):
             raise InputError("coefficients do not describe a convex body (h + h'' < 0)")
-
-    def _trig(self, theta, order):
-        theta = np.asarray(theta, dtype=float)
-        ang = np.multiply.outer(theta, self._k)
-        ct, st = np.cos(ang), np.sin(ang)
-        if order == 0:
-            return ct @ self.a + st @ self.b
-        if order == 1:
-            return (-st * self._k) @ self.a + (ct * self._k) @ self.b
-        if order == 2:
-            k2 = self._k ** 2
-            return -(ct * k2) @ self.a - (st * k2) @ self.b
-        raise ValueError(order)
 
     def support_angle(self, theta, order=0):
         """Support value (or derivative) at angle(s) theta."""
-        out = self._trig(theta, order)
+        out = _trig(self.a, self.b, theta, order)[0]
         return float(out) if np.isscalar(theta) else out
 
     def support(self, u):
         mat, single = _directions(u, 2)
-        return _ret(self._trig(np.arctan2(mat[:, 1], mat[:, 0]), 0), single)
+        return _ret(self.support_angle(np.arctan2(mat[:, 1], mat[:, 0])), single)
 
     def radial(self, u):
         mat, single = _directions(u, 2)
@@ -624,25 +547,22 @@ class FourierBody2D(ConvexBody):
         hi = phi + math.pi / 2 - 1e-12
         for _ in range(64):
             mid = 0.5 * (lo + hi)
-            g = mid + np.arctan2(self._trig(mid, 1), self._trig(mid, 0)) - phi
-            pos = g > 0
+            h, hp = _trig(self.a, self.b, mid, 0, 1)
+            pos = mid + np.arctan2(hp, h) - phi > 0
             hi = np.where(pos, mid, hi)
             lo = np.where(pos, lo, mid)
-        mid = 0.5 * (lo + hi)
-        h = self._trig(mid, 0)
-        hp = self._trig(mid, 1)
+        h, hp = _trig(self.a, self.b, 0.5 * (lo + hi), 0, 1)
         out = np.sqrt(h ** 2 + hp ** 2)
         return float(out[0]) if scalar else out
 
     def polar(self, resolution=4096):
         thetas = 2.0 * math.pi * np.arange(resolution) / resolution
         rho = np.atleast_1d(self.radial_angle(thetas))
-        h = self._trig(thetas, 0)
-        return SampledBody2D(1.0 / rho, 1.0 / h)
+        return SampledBody2D(1.0 / rho, 1.0 / self.support_angle(thetas))
 
     def volume(self):
         # Parseval: area = pi*a0^2 + (pi/2) * sum_k (1 - k^2)(a_k^2 + b_k^2)
-        k = self._k[1:]
+        k = np.arange(1, self.a.shape[0], dtype=float)
         tail = np.sum((1.0 - k ** 2) * (self.a[1:] ** 2 + self.b[1:] ** 2))
         return math.pi * self.a[0] ** 2 + 0.5 * math.pi * tail
 
@@ -662,9 +582,8 @@ class FourierBody2D(ConvexBody):
 
     def centroid(self, resolution=4096):
         thetas = 2.0 * math.pi * np.arange(resolution) / resolution
-        h = self._trig(thetas, 0)
-        hp = self._trig(thetas, 1)
-        fk = h + self._trig(thetas, 2)
+        h, hp, h2 = _trig(self.a, self.b, thetas, 0, 1, 2)
+        fk = h + h2
         u = np.column_stack([np.cos(thetas), np.sin(thetas)])
         up = np.column_stack([-np.sin(thetas), np.cos(thetas)])
         x = h[:, None] * u + hp[:, None] * up
@@ -676,7 +595,8 @@ class FourierBody2D(ConvexBody):
     def curvature_values(self, u):
         mat, single = _directions(u, 2)
         theta = np.arctan2(mat[:, 1], mat[:, 0])
-        return _ret(self._trig(theta, 0) + self._trig(theta, 2), single)
+        h, h2 = _trig(self.a, self.b, theta, 0, 2)
+        return _ret(h + h2, single)
 
     def to_json(self):
         return {"dim": 2, "repr": {"type": "fourier2d", "a": self.a.tolist(), "b": self.b.tolist()}}
@@ -690,8 +610,8 @@ class SampledBody2D(ConvexBody):
     interpolated periodically (piecewise linear)."""
 
     def __init__(self, support_values, radial_values):
-        h = np.asarray(support_values, dtype=float)
-        rho = np.asarray(radial_values, dtype=float)
+        h = _floats(support_values, "support samples")
+        rho = _floats(radial_values, "radial samples")
         if h.shape != rho.shape or h.ndim != 1 or h.shape[0] < 8:
             raise InputError("need matching support/radial sample vectors (>= 8 nodes)")
         if np.any(h <= 0) or np.any(rho <= 0):
@@ -702,19 +622,13 @@ class SampledBody2D(ConvexBody):
         self.n_nodes = h.shape[0]
         self.thetas = 2.0 * math.pi * np.arange(self.n_nodes) / self.n_nodes
 
-    def _interp(self, phi, values):
-        phi = np.mod(phi, 2.0 * math.pi)
-        xs = np.append(self.thetas, 2.0 * math.pi)
-        ys = np.append(values, values[0])
-        return np.interp(phi, xs, ys)
-
     def support(self, u):
         mat, single = _directions(u, 2)
-        return _ret(self._interp(np.arctan2(mat[:, 1], mat[:, 0]), self.h_values), single)
+        return _ret(circle_interp(mat, self.thetas, self.h_values), single)
 
     def radial(self, u):
         mat, single = _directions(u, 2)
-        return _ret(self._interp(np.arctan2(mat[:, 1], mat[:, 0]), self.rho_values), single)
+        return _ret(circle_interp(mat, self.thetas, self.rho_values), single)
 
     def polar(self):
         return SampledBody2D(1.0 / self.rho_values, 1.0 / self.h_values)
@@ -871,8 +785,6 @@ def santalo_point(K: ConvexBody, objective_tol=1e-8, gradient_tol=1e-6, max_swee
     returned directly.
     """
     if isinstance(K, Ellipsoid):
-        return np.zeros(K.dim)
-    if isinstance(K, (ShiftedBall, ShiftedEllipsoid)):
         return K.centroid()
     if isinstance(K, _Polytope) and K.dim not in (2, 3):
         raise UnsupportedError("Santalo point solve requires dimension 2 or 3")
@@ -921,7 +833,7 @@ class BodyClassTag:
 
 
 def has_curvature(K: ConvexBody) -> bool:
-    return isinstance(K, (Ellipsoid, ShiftedEllipsoid, ShiftedBall, FourierBody2D))
+    return isinstance(K, (Ellipsoid, FourierBody2D))
 
 
 def classify(K: ConvexBody, tol=1e-8, check_santalo=True) -> BodyClassTag:
@@ -977,12 +889,9 @@ def _random_fourier(n, size, rng):
         a[k] = rng.normal(0.0, 0.15 / k ** 2)
         b[k] = rng.normal(0.0, 0.15 / k ** 2)
     thetas = 2.0 * math.pi * np.arange(2048) / 2048
-    k_arr = np.arange(kmax + 1, dtype=float)
     for _ in range(100):
-        ang = np.multiply.outer(thetas, k_arr)
-        h = np.cos(ang) @ a + np.sin(ang) @ b
-        fk = h - (np.cos(ang) * k_arr ** 2) @ a - (np.sin(ang) * k_arr ** 2) @ b
-        if np.min(h) > 0 and np.min(fk) >= 0.01 * np.min(h):
+        h, h2 = _trig(a, b, thetas, 0, 2)
+        if np.min(h) > 0 and np.min(h + h2) >= 0.01 * np.min(h):
             return FourierBody2D(a, b)
         a[2:] *= 0.8
         b[2:] *= 0.8
@@ -1024,24 +933,25 @@ def body_to_json(K: ConvexBody) -> dict:
     return K.to_json()
 
 
+_JSON_READERS = {
+    "h-polytope": lambda rep: HPolytope(rep["normals"], rep["offsets"]),
+    "v-polytope": lambda rep: VPolytope(rep["vertices"]),
+    "ellipsoid": lambda rep: Ellipsoid(rep["matrix"]),
+    "shifted-ball": lambda rep: ShiftedBall(rep["center"], rep["radius"]),
+    "shifted-ellipsoid": lambda rep: Ellipsoid(rep["matrix"], rep["center"]),
+    "fourier2d": lambda rep: FourierBody2D(rep["a"], rep.get("b")),
+    "sampled2d": lambda rep: SampledBody2D(rep["support"], rep["radial"]),
+}
+
+
 def body_from_json(data: dict) -> ConvexBody:
+    """The body a ``to_json`` dict describes; a missing or mistyped field is
+    an InputError."""
     try:
         rep = data["repr"]
-        kind = rep["type"]
+        read = _JSON_READERS.get(rep["type"])
+        if read is None:
+            raise InputError(f"unknown body type {rep['type']!r}")
+        return read(rep)
     except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed body JSON: {exc}") from exc
-    if kind == "h-polytope":
-        return HPolytope(rep["normals"], rep["offsets"])
-    if kind == "v-polytope":
-        return VPolytope(rep["vertices"])
-    if kind == "ellipsoid":
-        return Ellipsoid(rep["matrix"])
-    if kind == "fourier2d":
-        return FourierBody2D(rep["a"], rep.get("b"))
-    if kind == "shifted-ball":
-        return ShiftedBall(rep["center"], rep["radius"])
-    if kind == "shifted-ellipsoid":
-        return ShiftedEllipsoid(rep["matrix"], rep["center"])
-    if kind == "sampled2d":
-        return SampledBody2D(rep["support"], rep["radial"])
-    raise InputError(f"unknown body type {kind!r}")
+        raise InputError(f"malformed body JSON: {exc!r}") from exc

@@ -41,7 +41,7 @@ def _load_body(path):
             return body_from_json(json.load(fh))
     except OSError as exc:
         raise InputError(f"cannot read body file {path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"malformed body file {path}: {exc}") from exc
 
 

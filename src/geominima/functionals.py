@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, Ellipsoid, _Polytope, ball, has_curvature
+from .bodies import ConvexBody, Ellipsoid, _Polytope, ball, has_curvature, is_centered_ellipsoid
 from .errors import DomainError, InputError, UnsupportedError
-from .grids import SphericalGrid, default_grid, unit_ball_volume
+from .grids import SphericalGrid, circle_interp, default_grid, unit_ball_volume
 from .measures import curvature_values
 
 EXCLUDED_ORDER_TOL = 1e-6     # band around p = -n where functionals blow up
@@ -71,10 +71,7 @@ class StarBody:
         coincide with grid nodes."""
         u = np.atleast_2d(np.asarray(u, dtype=float))
         if self.grid.dim == 2 and self.grid.thetas is not None:
-            phi = np.mod(np.arctan2(u[:, 1], u[:, 0]), 2 * math.pi)
-            xs = np.append(self.grid.thetas, 2 * math.pi)
-            ys = np.append(self.rho, self.rho[0])
-            return np.interp(phi, xs, ys)
+            return circle_interp(u, self.grid.thetas, self.rho)
         dots = u @ self.grid.nodes.T
         idx = np.argmax(dots, axis=1)
         if np.any(dots[np.arange(len(idx)), idx] < 1.0 - 1e-9):
@@ -242,7 +239,7 @@ def in_vp(K: ConvexBody, p: float, grid: SphericalGrid | None = None,
     _guard_order(p, n)
     if not has_curvature(K):
         raise DomainError(f"{type(K).__name__} has no curvature function")
-    if isinstance(K, Ellipsoid):
+    if is_centered_ellipsoid(K):
         scale = abs(np.linalg.det(K.matrix)) ** (-2.0 / (n + p))
         witness = Ellipsoid(scale * K.matrix)
         sup = witness.support(grid.nodes) if grid is not None else None
@@ -253,9 +250,7 @@ def in_vp(K: ConvexBody, p: float, grid: SphericalGrid | None = None,
         grid = default_grid(2)
     if grid.kind != "trapezoid":
         raise InputError("membership test needs the uniform circle grid")
-    f = curvature_values(K, grid)
-    h = K.support(grid.nodes)
-    log_fp = (1.0 - p) * _log_values(h, "support values") + np.log(f)
+    _, _, log_fp = _log_asp(K, p, grid)
     g = np.exp(-log_fp / (n + p))
     member = bool(np.min(g + _uniform_second_derivative(g)) >= -tol * np.max(g))
     return InVpResult(member, g, None)

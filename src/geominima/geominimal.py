@@ -26,10 +26,11 @@ from .bodies import (
     ShiftedBall,
     _Polytope,
     ball,
+    is_centered_ellipsoid,
 )
-from .errors import ConvergenceError, DomainError, InputError
+from .errors import DomainError, InputError
 from .functionals import (
-    EXCLUDED_ORDER_TOL,
+    _guard_order,
     _integration_pieces,
     _log_values,
     logsumexp,
@@ -40,11 +41,6 @@ GROWTH_LIMIT = 1e12          # objective growth treated as a diverging supremum
 _TIE_TOL = 1e-12
 _MAX_SUPPORT_FAMILY_FACETS = 12
 _CHART_BOUND = 8.0           # log-parameter box; e^8 : 1 is far beyond desk scale
-
-
-def _guard_order(p, n):
-    if abs(p + n) < EXCLUDED_ORDER_TOL:
-        raise DomainError(f"order p = {p} is excluded (too close to -n = {-n})")
 
 
 class _Evaluator:
@@ -104,7 +100,7 @@ class EllipsoidFamily:
 
     def initial_points(self, K, restarts, rng):
         points = [np.zeros(self.n_params)]
-        if isinstance(K, Ellipsoid):
+        if is_centered_ellipsoid(K):
             L = np.linalg.cholesky(K.matrix @ K.matrix.T)
             x = np.concatenate([np.log(np.diag(L)), L[self._rows, self._cols]])
             points.append(x)
@@ -281,9 +277,6 @@ def estimate_gp(K: ConvexBody, p: float, families=None, restarts: int = 8,
             if np.isfinite(res.fun):
                 best_family.append((sign * res.fun, fam, np.asarray(res.x)))
 
-    if not best_family and not candidates:
-        raise ConvergenceError("no valid objective evaluation", best=None)
-
     best_log, best_body, _ = min(candidates, key=lambda c: sign * c[0])
     for log_j, fam, x in best_family:
         if sign * log_j < sign * best_log - _TIE_TOL:
@@ -314,12 +307,8 @@ def gp_ball_shifted(z0, r: float, p: float, resolution: int = 4096) -> float:
         raise InputError("order must lie in (-n, 0) or (0, 1)")
     if np.linalg.norm(z0) >= r:
         raise InputError("|z0| must be smaller than the radius")
-    K = ShiftedBall(z0, r) if np.linalg.norm(z0) > 0 else None
     grid = default_grid(n, resolution)
-    if K is None:
-        h = np.full(grid.n_nodes, r)
-    else:
-        h = K.support(grid.nodes)
+    h = ShiftedBall(z0, r).support(grid.nodes)
     log_nvp = float(logsumexp((1.0 - p) * np.log(h)
                               + (n - 1) * math.log(r) + np.log(grid.weights)))
     log_vp = log_nvp - math.log(n)

@@ -58,6 +58,13 @@ class SphericalGrid:
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
 
+def circle_interp(u, thetas, values):
+    """Periodic piecewise-linear interpolation, to the directions u (rows),
+    of samples taken at the uniform circle angles ``thetas``."""
+    phi = np.mod(np.arctan2(u[:, 1], u[:, 0]), 2.0 * math.pi)
+    return np.interp(phi, np.append(thetas, 2.0 * math.pi), np.append(values, values[0]))
+
+
 def _trapezoid_circle(resolution: int) -> SphericalGrid:
     thetas = 2.0 * math.pi * np.arange(resolution) / resolution
     nodes = np.column_stack([np.cos(thetas), np.sin(thetas)])

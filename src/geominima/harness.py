@@ -30,12 +30,12 @@ from .bodies import (
     FourierBody2D,
     HPolytope,
     ShiftedBall,
-    ShiftedEllipsoid,
     VPolytope,
     _Polytope,
     ball,
     body_from_json,
     body_to_json,
+    is_centered_ellipsoid,
     random_body,
 )
 from .errors import DomainError, GeominimaError, InputError, UnsupportedError
@@ -219,7 +219,7 @@ class _GpCache:
             return _GpRecord(cap, False, "volume-cap", cap, None)
         # an ellipsoid estimate is tight only when it meets its closed form
         tight = False
-        if isinstance(K, Ellipsoid):
+        if is_centered_ellipsoid(K):
             exact = gp_ellipsoid_exact(np.linalg.det(K.matrix), K.dim, p)
             tight = abs(est.value - exact) <= self.config.tolerances["estimator"] * exact
         return _GpRecord(est.value, tight, "estimate", est.objective_at_K, est.objective_at_B)
@@ -286,14 +286,8 @@ def _support_bounds(K: ConvexBody):
         return float(np.min(offsets)), float(np.max(np.linalg.norm(K.vertices, axis=1)))
     if isinstance(K, Ellipsoid):
         sv = np.linalg.svd(K.matrix, compute_uv=False)
-        return float(sv[-1]), float(sv[0])
-    if isinstance(K, ShiftedEllipsoid):
-        sv = np.linalg.svd(K.matrix, compute_uv=False)
         c = float(np.linalg.norm(K.center))
         return float(sv[-1]) - c, float(sv[0]) + c
-    if isinstance(K, ShiftedBall):
-        c = float(np.linalg.norm(K.center))
-        return K.radius - c, K.radius + c
     if isinstance(K, FourierBody2D):
         t = np.linspace(0, 2 * math.pi, 8192, endpoint=False)
         h = K.support_angle(t)
@@ -315,7 +309,7 @@ def check_homogeneity(K: ConvexBody, T, p: float, config: HarnessConfig,
     n = K.dim
     T = np.asarray(T, dtype=float)
     factor = abs(np.linalg.det(T)) ** ((n - p) / (n + p))
-    if isinstance(K, Ellipsoid):
+    if is_centered_ellipsoid(K):
         rec_t, rec = cache.bound(K.linear_map(T), p), cache.bound(K, p)
         lhs, rhs = rec_t.value, factor * rec.value
         tol = config.tolerances["estimator"]
@@ -489,7 +483,7 @@ def check_containment(E: Ellipsoid, K: ConvexBody, p: float, config: HarnessConf
     the comparison side depending on the order regime."""
     cache = cache or _GpCache(config)
     n = K.dim
-    if not isinstance(E, Ellipsoid):
+    if not is_centered_ellipsoid(E):
         raise InputError("the reference body must be an origin-symmetric ellipsoid")
     grid = default_grid(n, config.grid_resolution)
     h_k = K.support(grid.nodes)
@@ -564,7 +558,7 @@ def check_cyclic_and_monotone(K: ConvexBody, params: dict, config: HarnessConfig
         return CheckResult("cyclic_holder", _instance(K, name, r=r, s=s, t=t),
                            res.lhs, res.rhs, res.margin, verdict, 1e-9,
                            "exact interpolation bound on mixed volumes")
-    if not isinstance(K, Ellipsoid):
+    if not is_centered_ellipsoid(K):
         raise InputError("exact-tier chains need a ball or ellipsoid")
     det = abs(np.linalg.det(K.matrix))
     if kind == "cyclic":
@@ -616,7 +610,7 @@ def check_blaschke_santalo(K: ConvexBody, config: HarnessConfig, name="") -> Che
     tol = 1e-8
     margin = rhs - mk
     verdict = PASS if mk <= rhs + tol else FAIL
-    if isinstance(K, Ellipsoid) and abs(mk - rhs) > 1e-6 * rhs:
+    if is_centered_ellipsoid(K) and abs(mk - rhs) > 1e-6 * rhs:
         verdict = FAIL
     return CheckResult("blaschke_santalo", _instance(K, name),
                        mk, rhs, margin, verdict, tol,
@@ -700,7 +694,7 @@ def _run_chain(K, params, config, cache, name):
 
 def _homogeneity_instances(config, dim, bodies):
     for name, K in bodies.items():
-        if isinstance(K, (Ellipsoid, _Polytope)):
+        if is_centered_ellipsoid(K) or isinstance(K, _Polytope):
             for p in config.orders_for(dim)[:3]:
                 yield name, K, {"p": p}
 

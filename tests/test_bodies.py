@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from geominima import (
     DomainError,
@@ -24,6 +25,7 @@ from geominima import (
     random_body,
     santalo_point,
 )
+from geominima.bodies import _dedupe_rows
 
 SQ2 = math.sqrt(2.0)
 
@@ -272,8 +274,9 @@ def test_translate_examples():
     u = circle_dirs(32)
     np.testing.assert_allclose(K.translate(np.zeros(2)).support(u), K.support(u), atol=1e-14)
     shifted = ball(2).translate(np.array([0.5, 0.0]))
-    assert isinstance(shifted, ShiftedBall)
-    np.testing.assert_allclose(shifted.center, [-0.5, 0.0])
+    rep = body_to_json(shifted)["repr"]
+    assert rep["type"] == "shifted-ball" and rep["radius"] == 1.0
+    np.testing.assert_allclose(rep["center"], [-0.5, 0.0])
     np.testing.assert_allclose(shifted.support(u), 1.0 - 0.5 * u[:, 0], atol=1e-14)
     sq_shift = K.translate(np.array([0.5, 0.0]))
     assert sq_shift.support(np.array([1.0, 0.0])) == pytest.approx(0.5)
@@ -422,3 +425,174 @@ def test_classify_flags():
     assert tag.in_K0 and tag.in_Kc and tag.in_Ks and tag.in_F0plus
     tag = classify(ShiftedBall([0.4, 0.0], 1.0), check_santalo=False)
     assert tag.in_K0 and not tag.in_Kc and tag.in_F0plus
+
+
+# ---------------------------------------------------------------------------
+# quadrics: one class, three JSON type names
+# ---------------------------------------------------------------------------
+
+# files written before the quadric classes were merged, one per type name
+PARENT_JSON = [
+    '{"dim": 2, "repr": {"type": "h-polytope", "normals": [[1.0, 0.0], [-1.0, 0.0], '
+    '[0.0, 1.0], [0.0, -1.0], [0.6, 0.8]], "offsets": [1.0, 1.0, 1.0, 1.0, 1.1]}}',
+    '{"dim": 2, "repr": {"type": "v-polytope", "vertices": [[-1.0, -1.0], [2.0, -1.0], '
+    '[-1.0, 2.0]]}}',
+    '{"dim": 3, "repr": {"type": "ellipsoid", "matrix": [[0.8874756101963623, '
+    '0.03446119450464961, 0.20952978757934138], [0.03446119450464965, 1.2284805115476054, '
+    '-0.12201435533578585], [0.2095297875793413, -0.12201435533578588, 0.916504467813676]]}}',
+    '{"dim": 2, "repr": {"type": "fourier2d", "a": [1.0, -0.032589557630584486, '
+    '0.062389649677169874, -0.027356621576410778, -0.005844972571766188], "b": [0.0, '
+    '-0.008735864616288858, 0.024718040618709563, -8.672106953219962e-05, '
+    '0.0013934205304877469]}}',
+    '{"dim": 3, "repr": {"type": "shifted-ball", "center": [-0.049765743785631505, '
+    '-0.009332742022500975, 0.015799167795536747], "radius": 1.4050029237453803}}',
+    '{"dim": 2, "repr": {"type": "shifted-ellipsoid", "matrix": [[1.0012052662510902, '
+    '-0.025969878401142572], [-0.02596987840114255, 0.9795637009168048]], "center": '
+    '[-0.27777777777777773, 0.18518518518518517]}}',
+    '{"dim": 2, "repr": {"type": "shifted-ellipsoid", "matrix": [[1.5, 0.2], [0.0, 0.9]], '
+    '"center": [-0.1, 0.2]}}',
+    '{"dim": 2, "repr": {"type": "sampled2d", "support": [1.0366221118067558, '
+    '0.9176592593563242, 0.8605866227484651, 0.9898050108636662, 1.2120899583214206, '
+    '1.1587212821916457, 0.9715186233463787, 1.055583011820854], "radial": '
+    '[1.0269020958908623, 0.9100370385507055, 0.8605575652658116, 0.9446163680822512, '
+    '1.1980345837488326, 1.122591168931261, 0.9713834554242481, 1.050733004006488]}}',
+]
+
+
+def test_json_round_trip_all_type_names():
+    names = {json.loads(blob)["repr"]["type"] for blob in PARENT_JSON}
+    assert len(names) == 7
+    for blob in PARENT_JSON:
+        assert json.dumps(body_to_json(body_from_json(json.loads(blob)))) == blob
+
+
+def test_quadric_type_name_follows_content():
+    def kind(K):
+        return body_to_json(K)["repr"]["type"]
+
+    assert kind(ShiftedBall([0.0, 0.0], 2.0)) == "ellipsoid"
+    assert kind(Ellipsoid(np.diag([2.0, 2.0]), [0.1, 0.0])) == "shifted-ball"
+    assert kind(Ellipsoid(np.diag([2.0, 1.0]), [0.1, 0.0])) == "shifted-ellipsoid"
+    assert kind(Ellipsoid(-np.eye(2), [0.1, 0.0])) == "shifted-ellipsoid"
+    assert kind(ShiftedBall([0.2, 0.1], 1.0).polar()) == "shifted-ellipsoid"
+    assert isinstance(ShiftedEllipsoid(np.eye(2), [0.1, 0.0]), Ellipsoid)
+    assert body_to_json(ShiftedBall([0.3, -0.2], 1.1))["repr"] == {
+        "type": "shifted-ball", "center": [0.3, -0.2], "radius": 1.1}
+
+
+def test_shifted_ball_is_an_ellipsoid_with_closed_forms():
+    K = ShiftedBall([0.3, -0.2], 1.1)
+    u = circle_dirs()
+    np.testing.assert_allclose(K.support(u), 1.1 + u @ [0.3, -0.2], rtol=1e-15)
+    s = u @ [0.3, -0.2]
+    np.testing.assert_allclose(K.radial(u), s + np.sqrt(s ** 2 + 1.1 ** 2 - 0.13), rtol=1e-14)
+    np.testing.assert_allclose(K.curvature_values(u), 1.1, rtol=1e-14)
+    assert K.volume() == pytest.approx(math.pi * 1.1 ** 2, rel=1e-15)
+    np.testing.assert_allclose(K.centroid(), [0.3, -0.2])
+    np.testing.assert_allclose(santalo_point(K), [0.3, -0.2])
+    with pytest.raises(InputError, match="radius must be positive"):
+        ShiftedBall([0.0, 0.0], -1.0)
+    with pytest.raises(DomainError):
+        Ellipsoid(np.diag([2.0, 1.0]), [0.0, 1.0])   # origin on the boundary
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Ellipsoid("abc"),
+    lambda: Ellipsoid([[math.nan, 0.0], [0.0, 1.0]]),
+    lambda: Ellipsoid([[1e200, 0.0], [0.0, 1e200]]),
+    lambda: Ellipsoid(np.eye(2), [0.1]),
+    lambda: ShiftedBall([0.1, 0.0], [1.0, 2.0]),
+    lambda: HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, math.nan, 1, 1]),
+    lambda: HPolytope([[1, 0], [-1, 0]], 1.0),
+    lambda: VPolytope([[1, 0], [0, 1], [-1, "x"]]),
+    lambda: VPolytope([[1, 0], [0, 1], [-1, -1, 0]]),
+    lambda: FourierBody2D([]),
+    lambda: FourierBody2D([1.0, math.inf]),
+    lambda: body_from_json({"repr": {"type": "ellipsoid"}}),
+    lambda: body_from_json({"repr": ["ellipsoid"]}),
+    lambda: body_from_json({"repr": {"type": ["ellipsoid"]}}),
+    lambda: body_from_json({"repr": {"type": "fourier2d", "a": [1.0], "b": {}}}),
+])
+def test_malformed_input_is_an_input_error(make):
+    with pytest.raises(InputError):
+        make()
+
+
+# the per-row loops that the array versions replaced, kept as references
+
+def _dedupe_reference(points, tol):
+    kept = []
+    for row in points:
+        if not any(np.linalg.norm(row - k) <= tol for k in kept):
+            kept.append(row)
+    return np.array(kept)
+
+
+def _normal_merge_reference(normals, offsets):
+    keep_n, keep_h = [], []
+    for u, h in zip(normals, offsets):
+        for i, v in enumerate(keep_n):
+            if np.dot(u, v) >= 1.0 - 1e-12:
+                keep_h[i] = min(keep_h[i], h)
+                break
+        else:
+            keep_n.append(u)
+            keep_h.append(h)
+    return np.array(keep_n), np.array(keep_h)
+
+
+def _facet_merge_reference(vertices):
+    hull = ConvexHull(vertices)
+    reps, offs, areas = [], [], []
+    for simplex, eq in zip(hull.simplices, hull.equations):
+        normal, offset = eq[:3], -eq[3]
+        a, b, c = vertices[simplex]
+        area = 0.5 * np.linalg.norm(np.cross(b - a, c - a))
+        for i, rep in enumerate(reps):
+            if np.dot(rep, normal) >= 1.0 - 1e-10 and \
+                    abs(offs[i] - offset) <= 1e-9 * (1 + abs(offset)):
+                areas[i] += area
+                break
+        else:
+            reps.append(normal)
+            offs.append(offset)
+            areas.append(area)
+    return np.array(reps), np.array(offs), np.array(areas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.sampled_from([2, 3]))
+def test_dedupe_keeps_first_occurrences(seed, m, dim):
+    rng = np.random.default_rng(seed)
+    # clusters whose spread straddles the tolerance, so merges chain
+    base = rng.standard_normal((max(1, m // 4), dim))
+    pts = base[rng.integers(0, len(base), m)] + rng.uniform(0, 2e-9, (m, dim))
+    np.testing.assert_array_equal(_dedupe_rows(pts, 1e-9), _dedupe_reference(pts, 1e-9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]),
+       st.sampled_from([0.0, 1e-14, 1e-13, 1e-12, 1e-6]))
+def test_normal_merge_matches_reference(seed, dim, eps):
+    rng = np.random.default_rng(seed)
+    base = np.vstack([np.eye(dim), -np.eye(dim), rng.standard_normal((4, dim))])
+    normals = np.repeat(base, 3, axis=0) + eps * rng.standard_normal((3 * len(base), dim))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    order = rng.permutation(len(normals))
+    normals, offsets = normals[order], rng.uniform(0.5, 1.5, len(normals))
+    K = HPolytope(normals, offsets)
+    ref_n, ref_h = _normal_merge_reference(normals, offsets)
+    np.testing.assert_array_equal(K.normals, ref_n)
+    np.testing.assert_array_equal(K.offsets, ref_h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(8, 60))
+def test_facet_merge_matches_reference(seed, m):
+    rng = np.random.default_rng(seed)
+    # lattice points give many coplanar simplices; the cube keeps 0 inside
+    pts = np.vstack([rng.integers(-3, 4, (m, 3)), [[s, t, u] for s in (-1, 1)
+                     for t in (-1, 1) for u in (-1, 1)]]).astype(float)
+    K = VPolytope(pts)
+    for got, want in zip(K.facet_data(), _facet_merge_reference(pts)):
+        np.testing.assert_array_equal(got, want)

@@ -195,3 +195,31 @@ def test_missing_body_file():
 
 def test_usage_error_exit_code():
     assert main(["compute"]) == 2   # missing required --body
+
+
+def _assert_rejected(path, capsys):
+    """compute exits 2, prints no result and reports an error."""
+    assert main(["compute", "--body", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("rep", [
+    {"type": "ellipsoid", "matrix": "abc"},
+    {"type": "ellipsoid"},
+    {"type": "fourier2d", "a": []},
+    {"type": "ellipsoid", "matrix": [[math.nan, 0.0], [0.0, 1.0]]},
+    {"type": "h-polytope", "normals": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+     "offsets": [1.0, math.nan, 1.0, 1.0]},
+], ids=["string-matrix", "missing-matrix", "empty-fourier", "nan-matrix", "nan-offsets"])
+def test_compute_rejects_malformed_body(tmp_path, capsys, rep):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 2, "repr": rep}))   # NaN is written as NaN
+    _assert_rejected(path, capsys)
+
+
+def test_compute_rejects_binary_body_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    _assert_rejected(path, capsys)
