@@ -12,6 +12,11 @@ names, chosen from its content: ``ellipsoid`` (center at the origin),
 Polytope facet data (normals, offsets, facet areas, vertices) is computed
 once at construction, exactly, for n in {2, 3}; every polytope quantity
 downstream (volume, surface measure, mixed volumes) is a finite exact sum.
+Polytopes follow one duality rule: the vertices of the polar are the facet
+duals u_i / h_i of the facets <x, u_i> <= h_i.  So ``polar``, ``linear_map``
+and ``translate`` work on vertices and return a ``VPolytope``, and an
+``HPolytope`` takes its vertices from the facets of conv{u_i / h_i}; it
+differs from a ``VPolytope`` only in its input and its JSON.
 """
 
 import math
@@ -31,7 +36,6 @@ from .grids import circle_interp, unit_ball_volume
 
 _UNIT_TOL = 1e-9
 _BOUNDARY_RATIO = 1e-8   # reject bodies whose min support is this fraction of the max
-_DEDUP_TOL = 1e-9
 
 
 def _directions(u, dim):
@@ -45,7 +49,7 @@ def _directions(u, dim):
     if mat.ndim != 2 or mat.shape[1] != dim:
         raise InputError(f"expected direction(s) of dimension {dim}, got shape {arr.shape}")
     norms = np.linalg.norm(mat, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-12):
+    if not np.all(np.abs(norms - 1.0) <= 1e-12):   # NaN fails too
         raise InputError("directions must be unit vectors (|u| = 1 within 1e-12)")
     return mat, single
 
@@ -67,7 +71,7 @@ def _floats(x, what):
 
 
 def _check_transform(T, dim):
-    T = np.asarray(T, dtype=float)
+    T = _floats(T, "transform")
     if T.shape != (dim, dim):
         raise InputError(f"transform must be {dim}x{dim}, got {T.shape}")
     if abs(np.linalg.det(T)) <= 1e-12:
@@ -130,34 +134,6 @@ def _first_occurrences(m, near):
     return owner
 
 
-def _dedupe_rows(points, tol):
-    """Drop near-duplicate rows, keeping first occurrences."""
-    owner = _first_occurrences(
-        len(points), lambda j: np.linalg.norm(points[j:] - points[j], axis=1) <= tol)
-    return points[owner == np.arange(len(points))]
-
-
-def _halfspace_vertices(normals, offsets):
-    """Vertices of the intersection of <x, u_i> <= h_i, origin interior.
-
-    Works through the dual hull: vertices of the primal correspond to the
-    facet planes of conv{u_i / h_i}.  Redundant half-spaces drop out because
-    their dual points are not hull vertices.
-    """
-    dual_pts = normals / offsets[:, None]
-    try:
-        hull = ConvexHull(dual_pts)
-    except (QhullError, ValueError) as exc:
-        raise InputError(f"degenerate half-space family: {exc}") from exc
-    w = hull.equations[:, :-1]
-    b = -hull.equations[:, -1]
-    if np.any(b <= 1e-12):
-        raise InputError("half-space family does not bound a body (normals must positively span)")
-    verts = w / b[:, None]
-    scale = np.max(np.linalg.norm(verts, axis=1))
-    return _dedupe_rows(verts, _DEDUP_TOL * max(scale, 1.0))
-
-
 def _facet_table(vertices):
     """Hull vertices and facet (normal, offset, area) data; the areas are
     exact for n in {2, 3} and None beyond."""
@@ -212,6 +188,17 @@ class _Polytope(ConvexBody):
         self._fnormals = normals
         self._foffsets = offsets
         self._fareas = areas
+
+    def polar(self):
+        # the vertices of the polar are the facet duals u_i / h_i
+        return VPolytope(self._fnormals / self._foffsets[:, None])
+
+    def linear_map(self, T):
+        T = _check_transform(T, self.dim)
+        return VPolytope(self._verts @ T.T)
+
+    def translate(self, z):
+        return VPolytope(self._verts - np.asarray(z, dtype=float))
 
     @property
     def vertices(self):
@@ -300,24 +287,12 @@ class HPolytope(_Polytope):
         self.normals = normals[keep]
         self.offsets = merged[keep]
         self.dim = self.normals.shape[1]
-        vertices = _halfspace_vertices(self.normals, self.offsets)
-        self._install_facets(vertices)
-
-    def polar(self):
-        return VPolytope(self.normals / self.offsets[:, None])
-
-    def linear_map(self, T):
-        T = _check_transform(T, self.dim)
-        w = np.linalg.solve(T.T, self.normals.T).T
-        lens = np.linalg.norm(w, axis=1)
-        return HPolytope(w / lens[:, None], self.offsets / lens)
-
-    def translate(self, z):
-        z = np.asarray(z, dtype=float)
-        offsets = self.offsets - self.normals @ z
-        if np.any(offsets <= 0):
-            raise DomainError("translation moves the origin outside the body")
-        return HPolytope(self.normals, offsets)
+        # the vertices are the facet duals of conv{u_i / h_i}; redundant u_i drop out
+        _, w, b, _ = _facet_table(self.normals / self.offsets[:, None])
+        if np.min(b) <= 1e-12:
+            raise InputError(
+                "half-space family does not bound a body (normals must positively span)")
+        self._install_facets(w / b[:, None])
 
     def to_json(self):
         return {
@@ -339,18 +314,6 @@ class VPolytope(_Polytope):
             raise InputError("vertices must be an (m, n) array with n >= 2")
         self.dim = vertices.shape[1]
         self._install_facets(vertices)
-
-    def polar(self):
-        lens = np.linalg.norm(self._verts, axis=1)
-        return HPolytope(self._verts / lens[:, None], 1.0 / lens)
-
-    def linear_map(self, T):
-        T = _check_transform(T, self.dim)
-        return VPolytope(self._verts @ T.T)
-
-    def translate(self, z):
-        z = np.asarray(z, dtype=float)
-        return VPolytope(self._verts - z[None, :])
 
     def to_json(self):
         return {
@@ -377,7 +340,8 @@ class Ellipsoid(ConvexBody):
         c = np.zeros(A.shape[0]) if center is None else _floats(center, "ellipsoid center")
         if c.shape != (A.shape[0],):
             raise InputError("the center must be a vector matching the matrix")
-        det = np.linalg.det(A)
+        with np.errstate(over="ignore"):
+            det = np.linalg.det(A)
         if not 1e-12 < abs(det) < math.inf:
             raise InputError("ellipsoid matrix is singular (or its determinant overflows)")
         self.matrix = A
@@ -520,6 +484,9 @@ class FourierBody2D(ConvexBody):
             raise DomainError("origin too close to the boundary (support nearly vanishes)")
         if np.min(h + h2) < -1e-9 * np.max(np.abs(h)):
             raise InputError("coefficients do not describe a convex body (h + h'' < 0)")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not math.isfinite(self.volume()):
+                raise InputError("coefficients are too large: the area is not finite")
 
     def support_angle(self, theta, order=0):
         """Support value (or derivative) at angle(s) theta."""
@@ -602,6 +569,11 @@ class FourierBody2D(ConvexBody):
         return {"dim": 2, "repr": {"type": "fourier2d", "a": self.a.tolist(), "b": self.b.tolist()}}
 
 
+def _sampled_area(rho):
+    """The area 1/2 * w * sum rho_i^2 of radial samples on the uniform grid."""
+    return 0.5 * (2.0 * math.pi / rho.shape[0]) * np.sum(rho ** 2)
+
+
 class SampledBody2D(ConvexBody):
     """Planar convex body known through support and radial samples on the
     uniform angle grid.  Arises as the polar dual of smooth planar bodies.
@@ -616,6 +588,10 @@ class SampledBody2D(ConvexBody):
             raise InputError("need matching support/radial sample vectors (>= 8 nodes)")
         if np.any(h <= 0) or np.any(rho <= 0):
             raise DomainError("support and radial samples must be positive")
+        with np.errstate(over="ignore", divide="ignore"):
+            areas = np.array([_sampled_area(rho), _sampled_area(1.0 / h)])
+        if not np.all((areas > 0) & (areas < math.inf)):
+            raise InputError("the volume or polar volume of the samples is not positive and finite")
         self.dim = 2
         self.h_values = h
         self.rho_values = rho
@@ -634,8 +610,7 @@ class SampledBody2D(ConvexBody):
         return SampledBody2D(1.0 / self.rho_values, 1.0 / self.h_values)
 
     def volume(self):
-        w = 2.0 * math.pi / self.n_nodes
-        return 0.5 * w * np.sum(self.rho_values ** 2)
+        return _sampled_area(self.rho_values)
 
     def centroid(self):
         w = 2.0 * math.pi / self.n_nodes

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial import ConvexHull, QhullError
 
 from .bodies import (
     ConvexBody,
@@ -150,8 +151,6 @@ class PolytopeSupportFamily:
     def evaluate(self, x, u):
         """One dual hull yields both the vertices of Q (facet planes of
         conv{u_i/h_i}) and the polar volume (the hull's own measure)."""
-        from scipy.spatial import ConvexHull, QhullError
-
         h = self.h0 * np.exp(x)
         try:
             hull = ConvexHull(self.normals / h[:, None])
@@ -307,13 +306,7 @@ def gp_ball_shifted(z0, r: float, p: float, resolution: int = 4096) -> float:
         raise InputError("order must lie in (-n, 0) or (0, 1)")
     if np.linalg.norm(z0) >= r:
         raise InputError("|z0| must be smaller than the radius")
-    grid = default_grid(n, resolution)
-    h = ShiftedBall(z0, r).support(grid.nodes)
-    log_nvp = float(logsumexp((1.0 - p) * np.log(h)
-                              + (n - 1) * math.log(r) + np.log(grid.weights)))
-    log_vp = log_nvp - math.log(n)
-    omega = unit_ball_volume(n)
-    return math.exp(math.log(n) + (n / (n + p)) * log_vp + (p / (n + p)) * math.log(omega))
+    return gp_objective(ShiftedBall(z0, r), ball(n), p, default_grid(n, resolution))
 
 
 def lutwak_gp_from_tilde(value: float, p: float, n: int) -> float:

@@ -171,8 +171,10 @@ def suite_bodies(config: HarnessConfig, dim: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _body_key(K: ConvexBody):
-    """Content key.  A body with no JSON form is its own (identity) key, and
-    the cache holding it keeps another body from taking over its id."""
+    """Content key: a polytope's sorted vertex rows, else its JSON.  A body
+    with no JSON form is its own key; the cache keeps it, so no id is reused."""
+    if isinstance(K, _Polytope):
+        return K.dim, np.unique(K.vertices, axis=0).tobytes()
     try:
         return json.dumps(K.to_json(), sort_keys=True)
     except (UnsupportedError, GeominimaError):

@@ -15,6 +15,7 @@ from geominima import (
     FourierBody2D,
     HPolytope,
     InputError,
+    SampledBody2D,
     ShiftedBall,
     ShiftedEllipsoid,
     VPolytope,
@@ -25,7 +26,6 @@ from geominima import (
     random_body,
     santalo_point,
 )
-from geominima.bodies import _dedupe_rows
 
 SQ2 = math.sqrt(2.0)
 
@@ -520,14 +520,6 @@ def test_malformed_input_is_an_input_error(make):
 
 # the per-row loops that the array versions replaced, kept as references
 
-def _dedupe_reference(points, tol):
-    kept = []
-    for row in points:
-        if not any(np.linalg.norm(row - k) <= tol for k in kept):
-            kept.append(row)
-    return np.array(kept)
-
-
 def _normal_merge_reference(normals, offsets):
     keep_n, keep_h = [], []
     for u, h in zip(normals, offsets):
@@ -560,16 +552,6 @@ def _facet_merge_reference(vertices):
     return np.array(reps), np.array(offs), np.array(areas)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.sampled_from([2, 3]))
-def test_dedupe_keeps_first_occurrences(seed, m, dim):
-    rng = np.random.default_rng(seed)
-    # clusters whose spread straddles the tolerance, so merges chain
-    base = rng.standard_normal((max(1, m // 4), dim))
-    pts = base[rng.integers(0, len(base), m)] + rng.uniform(0, 2e-9, (m, dim))
-    np.testing.assert_array_equal(_dedupe_rows(pts, 1e-9), _dedupe_reference(pts, 1e-9))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]),
        st.sampled_from([0.0, 1e-14, 1e-13, 1e-12, 1e-6]))
@@ -596,3 +578,147 @@ def test_facet_merge_matches_reference(seed, m):
     K = VPolytope(pts)
     for got, want in zip(K.facet_data(), _facet_merge_reference(pts)):
         np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# non-finite and huge input
+# ---------------------------------------------------------------------------
+
+def _fourier():
+    return random_body("fourier2d", 2, seed=3)
+
+
+BODY_MAKERS = {
+    "h-poly": square,
+    "v-poly": lambda: square().polar(),
+    "ellipsoid": lambda: Ellipsoid([[2.0, 0.3], [0.0, 1.0]]),
+    "shifted-ball": lambda: ShiftedBall([0.3, -0.2], 1.1),
+    "fourier": _fourier,
+    "sampled": lambda: _fourier().polar(),
+    "linear-image": lambda: _fourier().linear_map([[1.0, 0.5], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", BODY_MAKERS)
+@pytest.mark.parametrize("u", [[math.nan, math.nan], [math.nan, 0.0],
+                               [[1.0, 0.0], [math.inf, 0.0]]],
+                         ids=["nan-nan", "nan-zero", "batch-inf"])
+def test_non_finite_directions_are_input_errors(name, u):
+    K = BODY_MAKERS[name]()
+    methods = [K.support, K.radial]
+    if hasattr(K, "curvature_values"):
+        methods.append(K.curvature_values)
+    for method in methods:
+        with pytest.raises(InputError):
+            method(u)
+
+
+@pytest.mark.parametrize("name", ["h-poly", "v-poly", "ellipsoid", "fourier", "linear-image"])
+def test_non_finite_transform_is_an_input_error(name):
+    K = BODY_MAKERS[name]()
+    with pytest.raises(InputError):
+        K.linear_map([[math.nan, 0.0], [0.0, 1.0]])
+
+
+def test_huge_planar_bodies_are_input_errors():
+    with pytest.raises(InputError):
+        FourierBody2D([1e160, 0.0, 1e158])      # the area overflows
+    with pytest.raises(InputError):
+        SampledBody2D([1e200] * 8, [1e200] * 8)   # volume inf, polar volume 0
+    with pytest.raises(InputError):
+        SampledBody2D([1e-200] * 8, [1e-200] * 8)  # volume 0, polar volume inf
+    K = SampledBody2D([1e100] * 8, [1e100] * 8)
+    assert K.volume() == pytest.approx(math.pi * 1e200)
+
+
+# ---------------------------------------------------------------------------
+# polytope duality: the polar's vertices are the facet duals u_i / h_i
+# ---------------------------------------------------------------------------
+
+def _halfspaces(rng, dim, extra):
+    N = np.vstack([np.eye(dim), -np.eye(dim), rng.standard_normal((extra, dim))])
+    N /= np.linalg.norm(N, axis=1)[:, None]
+    return N, rng.uniform(0.5, 1.5, len(N))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]), st.integers(0, 12))
+def test_hpolytope_is_the_polar_of_its_facet_duals(seed, dim, extra):
+    N, h = _halfspaces(np.random.default_rng(seed), dim, extra)
+    K = HPolytope(N, h)
+    P = VPolytope(N / h[:, None]).polar()
+    np.testing.assert_array_equal(K.vertices, P.vertices)
+    for got, want in zip(K.facet_data(), P.facet_data()):
+        np.testing.assert_array_equal(got, want)
+    # every vertex satisfies all constraints and is tight on at least dim
+    slack = h - K.vertices @ N.T
+    assert np.all(slack >= -1e-12)
+    assert np.all(np.sum(np.abs(slack) <= 1e-9, axis=1) >= dim)
+
+
+def test_redundant_half_spaces_drop_out():
+    K = HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1], [0.6, 0.8]], [1, 1, 1, 1, 5])
+    assert K.normals.shape == (5, 2)          # the input stays for JSON
+    assert len(K.facet_data()[1]) == 4
+    assert sorted(map(tuple, K.vertices.tolist())) == [
+        (-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
+    diag = np.ones(3) / math.sqrt(3.0)
+    cube = HPolytope(np.vstack([np.eye(3), -np.eye(3), diag]), [1, 1, 1, 1, 1, 1, 2])
+    assert len(cube.vertices) == 8 and len(cube.facet_data()[1]) == 6
+    assert cube.volume() == pytest.approx(8.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["cube", "cross"])
+def test_polar_and_bipolar_support_4d(name):
+    if name == "cube":
+        K = HPolytope(np.vstack([np.eye(4), -np.eye(4)]), np.ones(8))
+    else:
+        K = VPolytope(np.vstack([np.eye(4), -np.eye(4)]))
+    g = np.random.default_rng(5).standard_normal((300, 4))
+    u = g / np.linalg.norm(g, axis=1)[:, None]
+    l1, linf = np.abs(u).sum(axis=1), np.abs(u).max(axis=1)
+    h, h_polar = (l1, linf) if name == "cube" else (linf, l1)
+    Kp = K.polar()
+    assert len(Kp.vertices) == (8 if name == "cube" else 16)
+    np.testing.assert_allclose(K.support(u), h, rtol=1e-14)
+    np.testing.assert_allclose(Kp.support(u), h_polar, rtol=1e-14)
+    np.testing.assert_allclose(Kp.polar().support(u), h, rtol=1e-14)
+    np.testing.assert_allclose(K.radial(u) * Kp.support(u), 1.0, rtol=1e-14)
+
+
+# the normal-based maps that the vertex-based ones replaced, kept as references
+
+def _h_linear_map_reference(K, T):
+    w = np.linalg.solve(T.T, K.normals.T).T
+    lens = np.linalg.norm(w, axis=1)
+    return HPolytope(w / lens[:, None], K.offsets / lens)
+
+
+def _h_translate_reference(K, z):
+    return HPolytope(K.normals, K.offsets - K.normals @ z)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]))
+def test_hpolytope_maps_match_normal_formulas(seed, dim):
+    rng = np.random.default_rng(seed)
+    N, h = _halfspaces(rng, dim, 6)
+    K = HPolytope(N, h)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    T = q @ np.diag(rng.uniform(0.5, 2.0, dim)) @ np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    z = 0.2 * np.min(h) * rng.uniform(-1.0, 1.0, dim)
+    u = sphere_dirs(200, seed)[:, :dim] if dim == 3 else circle_dirs()
+    for got, want in ((K.linear_map(T), _h_linear_map_reference(K, T)),
+                      (K.translate(z), _h_translate_reference(K, z))):
+        assert isinstance(got, VPolytope)
+        np.testing.assert_allclose(got.support(u), want.support(u), rtol=1e-12)
+        assert got.volume() == pytest.approx(want.volume(), rel=1e-12)
+
+
+def test_unbounded_and_near_boundary_h_polytopes():
+    with pytest.raises(InputError, match="does not bound"):
+        HPolytope([[1, 0], [0, 1], [0.6, 0.8]], [1, 1, 1])
+    with pytest.raises(InputError):
+        HPolytope(np.eye(3), [1, 1, 1])             # too few for a hull
+    with pytest.raises(DomainError, match="origin too close"):
+        HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1e-9, 1, 1])

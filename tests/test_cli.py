@@ -212,7 +212,11 @@ def _assert_rejected(path, capsys):
     {"type": "ellipsoid", "matrix": [[math.nan, 0.0], [0.0, 1.0]]},
     {"type": "h-polytope", "normals": [[1, 0], [-1, 0], [0, 1], [0, -1]],
      "offsets": [1.0, math.nan, 1.0, 1.0]},
-], ids=["string-matrix", "missing-matrix", "empty-fourier", "nan-matrix", "nan-offsets"])
+    {"type": "fourier2d", "a": [1e160, 0, 1e158]},
+    {"type": "sampled2d", "support": [1e200] * 8, "radial": [1e200] * 8},
+    {"type": "h-polytope", "normals": [[1, 0], [0, 1], [0.6, 0.8]], "offsets": [1, 1, 1]},
+], ids=["string-matrix", "missing-matrix", "empty-fourier", "nan-matrix", "nan-offsets",
+        "huge-fourier", "huge-sampled", "unbounded-h-polytope"])
 def test_compute_rejects_malformed_body(tmp_path, capsys, rep):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim": 2, "repr": rep}))   # NaN is written as NaN
@@ -223,3 +227,14 @@ def test_compute_rejects_binary_body_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff\xfe\x00garbage")
     _assert_rejected(path, capsys)
+
+
+def test_compute_origin_near_boundary_exits_1(tmp_path, capsys):
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps({"dim": 2, "repr": {
+        "type": "h-polytope", "normals": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+        "offsets": [1, 1e-9, 1, 1]}}))
+    assert main(["compute", "--body", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "origin too close" in captured.err

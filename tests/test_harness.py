@@ -365,6 +365,17 @@ def test_cache_does_not_reuse_a_freed_body_record():
     assert second.value != first.value
 
 
+def test_cache_keys_a_polytope_on_its_vertex_set():
+    # the polar of the cross-polytope is the square, now as a VPolytope;
+    # it shares the square's record, as its h-polytope JSON did before
+    cache = _GpCache(small_config())
+    cross = VPolytope([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    rec = cache.bound(square(), 0.5)
+    assert cache.bound(cross.polar(), 0.5) is rec
+    assert cache.bound(VPolytope(square().vertices[::-1]), 0.5) is rec
+    assert cache.bound(square().linear_map(2.0 * np.eye(2)), 0.5) is not rec
+
+
 def test_gp_ellipsoid_exact_helper():
     assert gp_ellipsoid_exact(1.0, 2, 1.0) == pytest.approx(TWO_PI, rel=1e-14)
     assert gp_ellipsoid_exact(2.0, 2, 1.0) == pytest.approx(
