@@ -5,7 +5,8 @@ The representations are half-space and vertex polytopes, quadrics
 c + A * B (one class, ``Ellipsoid``, for centered ellipsoids, balls and their
 shifts), cosine/sine support expansions in the plane, and the sampled planar
 bodies and lazy linear images that ``polar`` and ``linear_map`` produce from
-smooth planar bodies.  A quadric is written to JSON under one of three type
+smooth planar bodies; the polar of a Fourier body solves its support samples
+only when they are read.  A quadric is written to JSON under one of three type
 names, chosen from its content: ``ellipsoid`` (center at the origin),
 ``shifted-ball`` (matrix r * I) or ``shifted-ellipsoid``.
 
@@ -21,6 +22,7 @@ differs from a ``VPolytope`` only in its input and its JSON.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -68,6 +70,14 @@ def _floats(x, what):
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{what} must be finite")
     return arr
+
+
+def _vector(x, dim, what):
+    """x as a finite float vector of shape (dim,); anything else is an InputError."""
+    x = _floats(x, what)
+    if x.shape != (dim,):
+        raise InputError(f"{what} must be a vector of dimension {dim}, got shape {x.shape}")
+    return x
 
 
 def _check_transform(T, dim):
@@ -198,7 +208,7 @@ class _Polytope(ConvexBody):
         return VPolytope(self._verts @ T.T)
 
     def translate(self, z):
-        return VPolytope(self._verts - np.asarray(z, dtype=float))
+        return VPolytope(self._verts - _vector(z, self.dim, "translation"))
 
     @property
     def vertices(self):
@@ -287,9 +297,14 @@ class HPolytope(_Polytope):
         self.normals = normals[keep]
         self.offsets = merged[keep]
         self.dim = self.normals.shape[1]
-        # the vertices are the facet duals of conv{u_i / h_i}; redundant u_i drop out
-        _, w, b, _ = _facet_table(self.normals / self.offsets[:, None])
-        if np.min(b) <= 1e-12:
+        # the vertices are the facet duals of conv{u_i / h_i}; redundant u_i
+        # drop out, and a family whose duals span no hull bounds nothing
+        try:
+            _, w, b, _ = _facet_table(self.normals / self.offsets[:, None])
+            bounded = np.min(b) > 1e-12
+        except InputError:
+            bounded = False
+        if not bounded:
             raise InputError(
                 "half-space family does not bound a body (normals must positively span)")
         self._install_facets(w / b[:, None])
@@ -337,9 +352,8 @@ class Ellipsoid(ConvexBody):
             raise InputError("ellipsoid matrix must be square")
         if A.shape[0] < 2:
             raise InputError("dimension must be at least 2")
-        c = np.zeros(A.shape[0]) if center is None else _floats(center, "ellipsoid center")
-        if c.shape != (A.shape[0],):
-            raise InputError("the center must be a vector matching the matrix")
+        c = (np.zeros(A.shape[0]) if center is None
+             else _vector(center, A.shape[0], "ellipsoid center"))
         with np.errstate(over="ignore"):
             det = np.linalg.det(A)
         if not 1e-12 < abs(det) < math.inf:
@@ -388,7 +402,7 @@ class Ellipsoid(ConvexBody):
         return Ellipsoid(T @ self.matrix, T @ self.center)
 
     def translate(self, z):
-        return Ellipsoid(self.matrix, self.center - np.asarray(z, dtype=float))
+        return Ellipsoid(self.matrix, self.center - _vector(z, self.dim, "translation"))
 
     def centroid(self):
         return self.center.copy()
@@ -523,9 +537,7 @@ class FourierBody2D(ConvexBody):
         return float(out[0]) if scalar else out
 
     def polar(self, resolution=4096):
-        thetas = 2.0 * math.pi * np.arange(resolution) / resolution
-        rho = np.atleast_1d(self.radial_angle(thetas))
-        return SampledBody2D(1.0 / rho, 1.0 / self.support_angle(thetas))
+        return _FourierPolar(self, resolution)
 
     def volume(self):
         # Parseval: area = pi*a0^2 + (pi/2) * sum_k (1 - k^2)(a_k^2 + b_k^2)
@@ -538,7 +550,7 @@ class FourierBody2D(ConvexBody):
         return LinearImage(T, self)
 
     def translate(self, z):
-        z = np.asarray(z, dtype=float)
+        z = _vector(z, 2, "translation")
         a, b = self.a.copy(), self.b.copy()
         if a.shape[0] < 2:
             a = np.append(a, 0.0)
@@ -574,6 +586,21 @@ def _sampled_area(rho):
     return 0.5 * (2.0 * math.pi / rho.shape[0]) * np.sum(rho ** 2)
 
 
+def _sample_leg(x, n_nodes, radial):
+    """x checked as one leg of a sampled body: n_nodes >= 8 positive samples
+    whose area (the volume for radial samples, the polar volume 1/2 * w *
+    sum h_i^-2 for support samples) is positive and finite."""
+    if x.shape != (n_nodes,) or n_nodes < 8:
+        raise InputError("need matching support/radial sample vectors (>= 8 nodes)")
+    if np.any(x <= 0):
+        raise DomainError("support and radial samples must be positive")
+    with np.errstate(over="ignore", divide="ignore"):
+        area = _sampled_area(x if radial else 1.0 / x)
+    if not 0 < area < math.inf:
+        raise InputError("the volume or polar volume of the samples is not positive and finite")
+    return x
+
+
 class SampledBody2D(ConvexBody):
     """Planar convex body known through support and radial samples on the
     uniform angle grid.  Arises as the polar dual of smooth planar bodies.
@@ -583,19 +610,14 @@ class SampledBody2D(ConvexBody):
 
     def __init__(self, support_values, radial_values):
         h = _floats(support_values, "support samples")
-        rho = _floats(radial_values, "radial samples")
-        if h.shape != rho.shape or h.ndim != 1 or h.shape[0] < 8:
-            raise InputError("need matching support/radial sample vectors (>= 8 nodes)")
-        if np.any(h <= 0) or np.any(rho <= 0):
-            raise DomainError("support and radial samples must be positive")
-        with np.errstate(over="ignore", divide="ignore"):
-            areas = np.array([_sampled_area(rho), _sampled_area(1.0 / h)])
-        if not np.all((areas > 0) & (areas < math.inf)):
-            raise InputError("the volume or polar volume of the samples is not positive and finite")
+        self._set_radial(_floats(radial_values, "radial samples"))
+        self.h_values = _sample_leg(h, self.n_nodes, radial=False)
+
+    def _set_radial(self, rho):
+        """Check the radial samples and lay the node grid out from them."""
         self.dim = 2
-        self.h_values = h
-        self.rho_values = rho
-        self.n_nodes = h.shape[0]
+        self.rho_values = _sample_leg(rho, rho.size, radial=True)
+        self.n_nodes = rho.shape[0]
         self.thetas = 2.0 * math.pi * np.arange(self.n_nodes) / self.n_nodes
 
     def support(self, u):
@@ -632,6 +654,22 @@ class SampledBody2D(ConvexBody):
                 "radial": self.rho_values.tolist(),
             },
         }
+
+
+class _FourierPolar(SampledBody2D):
+    """The polar of a ``FourierBody2D`` on the uniform grid of ``resolution``
+    nodes.  Its radial samples 1/h of the body come from one trig pass.  Its
+    support samples 1/rho of the body need the body's radial solve, so they
+    are solved, checked and kept on first read."""
+
+    def __init__(self, body, resolution):
+        self.body = body
+        thetas = 2.0 * math.pi * np.arange(resolution) / resolution
+        self._set_radial(1.0 / body.support_angle(thetas))
+
+    @cached_property
+    def h_values(self):
+        return _sample_leg(1.0 / self.body.radial_angle(self.thetas), self.n_nodes, radial=False)
 
 
 class LinearImage(ConvexBody):

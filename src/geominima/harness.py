@@ -31,6 +31,7 @@ from .bodies import (
     HPolytope,
     ShiftedBall,
     VPolytope,
+    _FourierPolar,
     _Polytope,
     ball,
     body_from_json,
@@ -171,10 +172,13 @@ def suite_bodies(config: HarnessConfig, dim: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _body_key(K: ConvexBody):
-    """Content key: a polytope's sorted vertex rows, else its JSON.  A body
-    with no JSON form is its own key; the cache keeps it, so no id is reused."""
+    """Content key: a polytope's sorted vertex rows, a Fourier polar's parent
+    and node count, else its JSON.  A body with no JSON form is its own key;
+    the cache keeps it, so no id is reused."""
     if isinstance(K, _Polytope):
         return K.dim, np.unique(K.vertices, axis=0).tobytes()
+    if isinstance(K, _FourierPolar):
+        return "polar", _body_key(K.body), K.n_nodes
     try:
         return json.dumps(K.to_json(), sort_keys=True)
     except (UnsupportedError, GeominimaError):
@@ -201,22 +205,26 @@ class _GpCache:
     def __init__(self, config: HarnessConfig):
         self.config = config
         self._store = {}
+        self._log_volumes = {}   # body key -> (log |K|, log |K polar|)
 
     def bound(self, K: ConvexBody, p: float) -> _GpRecord:
-        key = (_body_key(K), float(p))
+        body_key = _body_key(K)
+        key = (body_key, float(p))
         if key not in self._store:
-            self._store[key] = self._compute(K, p)
+            self._store[key] = self._compute(K, p, body_key)
         return self._store[key]
 
-    def _compute(self, K, p):
+    def _compute(self, K, p, body_key):
         try:
             est = estimate_gp(K, p, restarts=self.config.restarts,
                               seed=self.config.seed, maxiter=250,
                               grid=default_grid(K.dim, self.config.grid_resolution))
         except (UnsupportedError, DomainError, InputError):
             n = K.dim
-            log_j = math.log(n) + (n / (n + p)) * math.log(K.volume()) \
-                + (p / (n + p)) * math.log(K.polar().volume())
+            if body_key not in self._log_volumes:
+                self._log_volumes[body_key] = math.log(K.volume()), math.log(K.polar().volume())
+            log_k, log_kp = self._log_volumes[body_key]
+            log_j = math.log(n) + (n / (n + p)) * log_k + (p / (n + p)) * log_kp
             cap = math.exp(log_j)
             return _GpRecord(cap, False, "volume-cap", cap, None)
         # an ellipsoid estimate is tight only when it meets its closed form

@@ -15,6 +15,7 @@ from geominima import (
     FourierBody2D,
     HPolytope,
     InputError,
+    LinearImage,
     SampledBody2D,
     ShiftedBall,
     ShiftedEllipsoid,
@@ -722,3 +723,113 @@ def test_unbounded_and_near_boundary_h_polytopes():
         HPolytope(np.eye(3), [1, 1, 1])             # too few for a hull
     with pytest.raises(DomainError, match="origin too close"):
         HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1e-9, 1, 1])
+
+
+@pytest.mark.parametrize("normals, offsets", [
+    (np.eye(3), [1.0, 1.0, 1.0]),
+    ([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0]),
+], ids=["three-normals-3d", "opposite-pair-2d"])
+def test_half_space_family_too_small_for_a_hull(normals, offsets):
+    with pytest.raises(InputError, match="does not bound a body") as exc:
+        HPolytope(normals, offsets)
+    assert "QH" not in str(exc.value) and "\n" not in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# translate reads z as a finite vector of the body's dimension
+# ---------------------------------------------------------------------------
+
+TRANSLATE_MAKERS = {
+    "polytope": square,
+    "ellipsoid": lambda: Ellipsoid([[2.0, 0.3], [0.0, 1.0]]),
+    "fourier": _fourier,
+}
+
+
+@pytest.mark.parametrize("name", TRANSLATE_MAKERS)
+@pytest.mark.parametrize("z", [0.5, [0.1, 0.0, 0.0], [math.nan, 0.0], [0.0, math.inf],
+                               [[0.1, 0.0]], [], "ab"],
+                         ids=["scalar", "3-vector", "nan", "inf", "row-matrix", "empty",
+                              "string"])
+def test_translate_rejects_anything_but_a_finite_vector(name, z):
+    with pytest.raises(InputError, match="translation"):
+        TRANSLATE_MAKERS[name]().translate(z)
+
+
+@pytest.mark.parametrize("name", TRANSLATE_MAKERS)
+def test_translate_takes_a_list(name):
+    K = TRANSLATE_MAKERS[name]()
+    u = circle_dirs(16)
+    np.testing.assert_allclose(K.translate([0.1, -0.2]).support(u),
+                               K.support(u) - u @ [0.1, -0.2], atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the Fourier polar: radial samples from one trig pass, support samples
+# solved on first read
+# ---------------------------------------------------------------------------
+
+def _eager_fourier_polar(F, resolution=4096):
+    """The polar as it was built before its support samples became lazy:
+    both legs at once, the support samples from the radial solve."""
+    thetas = 2.0 * math.pi * np.arange(resolution) / resolution
+    rho = np.atleast_1d(F.radial_angle(thetas))
+    return SampledBody2D(1.0 / rho, 1.0 / F.support_angle(thetas))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_fourier_polar_makes_no_radial_solve(radial_solves, seed):
+    F = random_body("fourier2d", 2, seed=seed)
+    P = F.polar()
+    assert isinstance(P, SampledBody2D)
+    # volume, centroid and radial read only the radial samples
+    assert P.volume() > 0 and np.all(np.isfinite(P.centroid()))
+    assert np.all(P.radial(circle_dirs(32)) > 0)
+    assert radial_solves == []
+    np.testing.assert_array_equal(P.rho_values, 1.0 / F.support_angle(P.thetas))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_fourier_polar_support_samples_match_the_eager_polar(radial_solves, seed):
+    F = random_body("fourier2d", 2, seed=seed)
+    ref = _eager_fourier_polar(F)
+    radial_solves.clear()
+    P = F.polar()
+    np.testing.assert_array_equal(P.h_values, ref.h_values)
+    np.testing.assert_array_equal(P.rho_values, ref.rho_values)
+    assert json.dumps(P.to_json()) == json.dumps(ref.to_json())
+    u = circle_dirs(64)
+    np.testing.assert_array_equal(P.support(u), ref.support(u))
+    np.testing.assert_array_equal(P.polar().h_values, ref.polar().h_values)
+    assert radial_solves == [4096]    # solved once, on the first read, and kept
+
+
+def test_fourier_polar_at_other_resolutions():
+    F = _fourier()
+    for n in (8, 100, 1024):
+        np.testing.assert_array_equal(F.polar(n).h_values, _eager_fourier_polar(F, n).h_values)
+    with pytest.raises(InputError):
+        F.polar(4)    # the radial leg runs at construction
+
+
+def test_fourier_polar_checks_the_support_leg_when_solved(monkeypatch):
+    P = _fourier().polar()
+    monkeypatch.setattr(FourierBody2D, "radial_angle", lambda self, phi: -np.ones(np.size(phi)))
+    with pytest.raises(DomainError, match="must be positive"):
+        P.support([1.0, 0.0])
+
+
+def test_polar_of_a_linear_image_and_the_bipolar_of_a_fourier_body():
+    F = _fourier()
+    T = np.array([[1.0, 0.5], [0.0, 1.2]])
+    ref = _eager_fourier_polar(F)
+    u = circle_dirs(64)
+    Kp = LinearImage(T, F).polar()
+    want = LinearImage(np.linalg.inv(T).T, ref)
+    np.testing.assert_array_equal(Kp.support(u), want.support(u))
+    np.testing.assert_array_equal(Kp.radial(u), want.radial(u))
+    assert Kp.volume() == want.volume()
+    bipolar = F.polar().polar()
+    assert json.dumps(bipolar.to_json()) == json.dumps(ref.polar().to_json())
+    np.testing.assert_allclose(bipolar.h_values, F.support(
+        np.column_stack([np.cos(bipolar.thetas), np.sin(bipolar.thetas)])), atol=1e-12)

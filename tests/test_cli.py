@@ -238,3 +238,19 @@ def test_compute_origin_near_boundary_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "origin too close" in captured.err
+
+
+@pytest.mark.parametrize("dim, normals, offsets", [
+    (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1]),
+    (2, [[1, 0], [-1, 0]], [1, 1]),
+], ids=["three-normals-3d", "opposite-pair-2d"])
+def test_compute_half_space_family_too_small_for_a_hull(tmp_path, capsys, dim, normals, offsets):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"dim": dim, "repr": {
+        "type": "h-polytope", "normals": normals, "offsets": offsets}}))
+    assert main(["compute", "--body", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "does not bound a body" in lines[0] and "QH" not in lines[0]

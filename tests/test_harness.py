@@ -8,6 +8,7 @@ import pytest
 
 from geominima import (
     Ellipsoid,
+    FourierBody2D,
     HPolytope,
     HarnessConfig,
     InputError,
@@ -30,7 +31,7 @@ from geominima import (
     run_suite,
     unit_ball_volume,
 )
-from geominima.harness import _GpCache, _one_sided
+from geominima.harness import _GpCache, _body_key, _one_sided
 
 TWO_PI = 2 * math.pi
 
@@ -382,3 +383,31 @@ def test_gp_ellipsoid_exact_helper():
         2.0 ** (1.0 / 3.0) * TWO_PI, rel=1e-14)
     assert gp_ellipsoid_exact(4.0, 3, -1.0) == pytest.approx(
         3 * unit_ball_volume(3) * 4.0 ** 2.0, rel=1e-14)
+
+
+def test_cache_keys_a_fourier_polar_on_its_parent(radial_solves):
+    F = random_body("fourier2d", 2, seed=3)
+    cache = _GpCache(small_config())
+    assert _body_key(F.polar()) == _body_key(F.polar())
+    assert _body_key(F.polar(1024)) != _body_key(F.polar())
+    assert radial_solves == []     # the key reads no support sample
+    rec = cache.bound(F.polar(), 0.5)
+    assert rec.kind == "volume-cap"
+    assert cache.bound(F.polar(), 0.5) is rec
+    assert cache.bound(FourierBody2D(F.a, F.b).polar(), 0.5) is rec
+    assert cache.bound(F.polar(1024), 0.5) is not rec
+    assert cache.bound(random_body("fourier2d", 2, seed=4).polar(), 0.5) is not rec
+
+
+def test_volume_cap_solves_a_fourier_polar_once_per_body(radial_solves):
+    F = random_body("fourier2d", 2, seed=3)
+    cfg = small_config()
+    cache = _GpCache(cfg)
+    records = [cache.bound(F.polar(), p) for p in cfg.p_grid]
+    assert radial_solves == [4096]
+    # each record is the cap that reads both volumes afresh
+    n, P = 2, F.polar()
+    for p, rec in zip(cfg.p_grid, records):
+        log_j = math.log(n) + (n / (n + p)) * math.log(P.volume()) \
+            + (p / (n + p)) * math.log(P.polar().volume())
+        assert rec.value == math.exp(log_j)
