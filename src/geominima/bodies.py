@@ -31,6 +31,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     GenerationError,
+    GeominimaError,
     InputError,
     UnsupportedError,
 )
@@ -256,18 +257,13 @@ class _Polytope(ConvexBody):
             cy = np.sum((y + yn) * cross) / (6.0 * area)
             return np.array([cx, cy])
         if self.dim == 3:
-            hull = ConvexHull(vs)
-            total = 0.0
-            acc = np.zeros(3)
-            for simplex in hull.simplices:
-                a, b, c = vs[simplex]
-                vol = np.linalg.det(np.stack([a, b, c])) / 6.0
-                if vol < 0:
-                    b, c = c, b
-                    vol = -vol
-                total += vol
-                acc += vol * (a + b + c) / 4.0
-            return acc / total
+            # positively oriented cones over the hull's simplices, summed in order
+            tets = vs[ConvexHull(vs).simplices]
+            vols = np.linalg.det(tets) / 6.0
+            tets[vols < 0] = tets[vols < 0][:, [0, 2, 1]]
+            vols = np.abs(vols)
+            moments = vols[:, None] * (tets[:, 0] + tets[:, 1] + tets[:, 2]) / 4.0
+            return np.cumsum(moments, axis=0)[-1] / np.cumsum(vols)[-1]
         raise UnsupportedError("exact centroid requires dimension 2 or 3")
 
 
@@ -481,6 +477,7 @@ class FourierBody2D(ConvexBody):
     """
 
     _CHECK_N = 2048
+    _CENTROID_N = 4096
 
     def __init__(self, a, b=None):
         a = np.atleast_1d(_floats(a, "coefficients a"))
@@ -559,14 +556,14 @@ class FourierBody2D(ConvexBody):
         b[1] -= z[1]
         return FourierBody2D(a, b)
 
-    def centroid(self, resolution=4096):
-        thetas = 2.0 * math.pi * np.arange(resolution) / resolution
+    def centroid(self):
+        thetas = 2.0 * math.pi * np.arange(self._CENTROID_N) / self._CENTROID_N
         h, hp, h2 = _trig(self.a, self.b, thetas, 0, 1, 2)
         fk = h + h2
         u = np.column_stack([np.cos(thetas), np.sin(thetas)])
         up = np.column_stack([-np.sin(thetas), np.cos(thetas)])
         x = h[:, None] * u + hp[:, None] * up
-        w = 2.0 * math.pi / resolution
+        w = 2.0 * math.pi / self._CENTROID_N
         area = 0.5 * w * np.sum(h * fk)
         moment = (w / 3.0) * (x * (h * fk)[:, None]).sum(axis=0)
         return moment / area
@@ -745,89 +742,45 @@ def centroid(K: ConvexBody):
     return K.centroid()
 
 
-def _dense_directions(dim, count=512, seed=1234):
-    if dim == 2:
-        t = 2.0 * math.pi * np.arange(count) / count
-        return np.column_stack([np.cos(t), np.sin(t)])
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((count, dim))
-    return g / np.linalg.norm(g, axis=1)[:, None]
-
-
-def _interior_step_bound(K, z, direction):
-    """Largest t with z + t*direction still interior, from support slack."""
-    if isinstance(K, _Polytope):
-        U = K._fnormals
-        slack = K._foffsets - U @ z
-    else:
-        U = _dense_directions(K.dim, 1024)
-        slack = K.support(U) - U @ z
-    comp = U @ direction
-    with np.errstate(divide="ignore"):
-        pos = np.where(comp > 1e-14, slack / comp, np.inf)
-        neg = np.where(comp < -1e-14, slack / comp, -np.inf)
-    return float(np.max(neg)), float(np.min(pos))
-
-
-def _golden_section(f, lo, hi, tol=1e-10, max_iter=200):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def santalo_point(K: ConvexBody, objective_tol=1e-8, gradient_tol=1e-6, max_sweeps=200):
-    """The translation z* minimizing the polar volume of K - z.
-
-    Solved by damped coordinate descent with golden-section line searches;
-    returns z* once the finite-difference gradient norm is below
-    ``gradient_tol``.  For centrally symmetric representations the center is
-    returned directly.
-    """
+def santalo_point(K: ConvexBody):
+    """The z where (K - z)° has its centroid at the origin: the minimizer of the
+    convex |(K - z)°|, whose gradient is (n+1) |(K - z)°| centroid((K - z)°).
+    BFGS from the centroid of K certifies |centroid((K - z)°)| * R <= 1e-8, with
+    R = max h_K(±e_i).  Ellipsoids return their center."""
     if isinstance(K, Ellipsoid):
         return K.centroid()
-    if isinstance(K, _Polytope) and K.dim not in (2, 3):
-        raise UnsupportedError("Santalo point solve requires dimension 2 or 3")
+    n = K.dim
+    R = float(np.max(K.support(np.vstack([np.eye(n), -np.eye(n)]))))
 
-    def objective(z):
-        return K.translate(z).polar().volume()
+    def evaluate(z):   # |(K - z)°| and centroid((K - z)°) from one polar
+        L = K.translate(z).polar()
+        return L.volume(), L.centroid()
 
-    z = K.centroid()
-    scale = max(1.0, float(np.max(np.abs(z))) + 1.0)
-    f_cur = objective(z)
-    for _ in range(max_sweeps):
-        f_prev = f_cur
-        for k in range(K.dim):
-            e = np.zeros(K.dim)
-            e[k] = 1.0
-            t_lo, t_hi = _interior_step_bound(K, z, e)
-            t_lo *= 0.95
-            t_hi *= 0.95
-            t_best = _golden_section(lambda t: objective(z + t * e), t_lo, t_hi)
-            z = z + t_best * e
-        f_cur = objective(z)
-        if abs(f_prev - f_cur) <= objective_tol * abs(f_cur):
-            step = 1e-6 * scale
-            grad = np.zeros(K.dim)
-            for k in range(K.dim):
-                e = np.zeros(K.dim)
-                e[k] = step
-                grad[k] = (objective(z + e) - objective(z - e)) / (2 * step)
-            if np.linalg.norm(grad) <= gradient_tol:
-                return z
+    z = K.centroid()   # an UnsupportedError for polytopes beyond 3-D
+    f, c = evaluate(z)
+    B = np.eye(n) * (n + 1) * (n + 2) * f / R ** 2   # Hessian model
+    for _ in range(100):
+        if np.linalg.norm(c) * R <= 1e-8:
+            return z
+        g = (n + 1) * f * c
+        step = -np.linalg.solve(B, g)
+        for _ in range(60):
+            try:
+                f1, c1 = evaluate(z + step)
+            except GeominimaError:   # the trial point left K: halve the step
+                f1, c1 = math.inf, c
+            # sufficient decrease or, where |(K - z)°| is flat to roundoff
+            # near the solution, a smaller residual
+            if f1 <= f + 1e-4 * (g @ step) or np.linalg.norm(c1) < np.linalg.norm(c):
+                break
+            step = 0.5 * step
+        else:
+            break
+        y = (n + 1) * f1 * c1 - g
+        if step @ y > 0:
+            Bs = B @ step
+            B = B + np.outer(y, y) / (step @ y) - np.outer(Bs, Bs) / (step @ Bs)
+        z, f, c = z + step, f1, c1
     raise ConvergenceError("Santalo point solve did not certify a stationary point", best=z)
 
 
@@ -849,19 +802,26 @@ def has_curvature(K: ConvexBody) -> bool:
     return isinstance(K, (Ellipsoid, FourierBody2D))
 
 
-def classify(K: ConvexBody, tol=1e-8, check_santalo=True) -> BodyClassTag:
-    dirs = _dense_directions(K.dim)
+def classify(K: ConvexBody, tol=1e-8) -> BodyClassTag:
+    """The class flags of K; a flag the representation cannot check is False."""
+    if K.dim == 2:
+        t = 2.0 * math.pi * np.arange(512) / 512
+        dirs = np.column_stack([np.cos(t), np.sin(t)])
+    else:
+        g = np.random.default_rng(1234).standard_normal((512, K.dim))
+        dirs = g / np.linalg.norm(g, axis=1)[:, None]
     h = K.support(dirs)
     in_k0 = bool(np.min(h) > 0)
-    scale = float(np.max(h))
-    in_kc = in_k0 and bool(np.linalg.norm(K.centroid()) <= tol * scale)
-    in_ks = False
-    if in_k0 and check_santalo:
+
+    def at_origin(point, rel):
         try:
-            in_ks = bool(np.linalg.norm(santalo_point(K)) <= 1e-6 * scale)
+            return in_k0 and bool(np.linalg.norm(point()) <= rel * np.max(h))
         except (UnsupportedError, ConvergenceError):
-            in_ks = False
-    return BodyClassTag(in_K0=in_k0, in_Kc=in_kc, in_Ks=in_ks, in_F0plus=has_curvature(K))
+            return False
+
+    return BodyClassTag(in_K0=in_k0, in_Kc=at_origin(K.centroid, tol),
+                        in_Ks=at_origin(lambda: santalo_point(K), 1e-6),
+                        in_F0plus=has_curvature(K))
 
 
 # ---------------------------------------------------------------------------

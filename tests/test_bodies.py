@@ -19,6 +19,7 @@ from geominima import (
     SampledBody2D,
     ShiftedBall,
     ShiftedEllipsoid,
+    UnsupportedError,
     VPolytope,
     ball,
     body_from_json,
@@ -321,6 +322,29 @@ def test_centroid_equivariance(dim):
         np.testing.assert_allclose(K.linear_map(T).centroid(), T @ K.centroid(), atol=1e-8)
 
 
+def _centroid_3d_loop(vs):
+    """Reference: the 3-D centroid as a sum over the hull's simplices, one at a time."""
+    total, acc = 0.0, np.zeros(3)
+    for simplex in ConvexHull(vs).simplices:
+        a, b, c = vs[simplex]
+        vol = np.linalg.det(np.stack([a, b, c])) / 6.0
+        if vol < 0:
+            b, c = c, b
+            vol = -vol
+        total += vol
+        acc += vol * (a + b + c) / 4.0
+    return acc / total
+
+
+def test_centroid_3d_matches_simplex_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for count in (4, 12, 60, 250):
+        K = VPolytope(rng.standard_normal((count, 3)) * rng.uniform(0.01, 100) + 0.1)
+        np.testing.assert_array_equal(K.centroid(), _centroid_3d_loop(K.vertices))
+    K = random_body("polytope-hull", 3, seed=42)
+    np.testing.assert_array_equal(K.polar().centroid(), _centroid_3d_loop(K.polar().vertices))
+
+
 def test_santalo_point_symmetric_bodies():
     np.testing.assert_allclose(santalo_point(ball(2)), 0.0)
     np.testing.assert_allclose(santalo_point(Ellipsoid(np.diag([3.0, 1.0]))), 0.0)
@@ -355,6 +379,69 @@ def test_santalo_point_triangle_against_lattice_search():
     assert obj <= area[best] + 1e-9
 
 
+def _santalo_residual(K, z):
+    """|centroid((K - z)°)| in units of the body's size: the solve's certificate."""
+    R = np.max(K.support(np.vstack([np.eye(K.dim), -np.eye(K.dim)])))
+    return np.linalg.norm(K.translate(z).polar().centroid()) * R
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_santalo_point_affine_equivariance(dim):
+    rng = np.random.default_rng(17)
+    for seed in (31, 32):
+        K = random_body("polytope-hull", dim, seed=seed)
+        s = santalo_point(K)
+        assert _santalo_residual(K, s) <= 1e-8
+        T = 0.3 * rng.standard_normal((dim, dim)) + np.eye(dim)
+        v = 0.05 * rng.standard_normal(dim)
+        np.testing.assert_allclose(santalo_point(K.linear_map(T).translate(-v)), T @ s + v,
+                                   atol=1e-7)
+
+
+def test_santalo_point_translation_equivariance_fourier():
+    F = random_body("fourier2d", 2, seed=42)
+    s = santalo_point(F)
+    assert _santalo_residual(F, s) <= 1e-8
+    v = np.array([0.08, -0.05])
+    np.testing.assert_allclose(santalo_point(F.translate(-v)), s + v, atol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_santalo_point_at_small_and_large_scales(scale):
+    K = random_body("polytope-hull", 2, seed=42)
+    s = santalo_point(K)
+    K_scaled = VPolytope(scale * K.vertices)
+    s_scaled = santalo_point(K_scaled)
+    np.testing.assert_allclose(s_scaled, scale * s, atol=1e-6 * scale)
+    assert classify(K_scaled.translate(s_scaled)).in_Ks
+
+
+def test_santalo_point_polar_evaluations_bounded(monkeypatch):
+    import geominima.bodies as bodies
+    calls = []
+    polar = bodies._Polytope.polar
+
+    def counted(self):
+        calls.append(1)
+        return polar(self)
+
+    monkeypatch.setattr(bodies._Polytope, "polar", counted)
+    santalo_point(random_body("polytope-hull", 3, seed=42))
+    assert len(calls) <= 30
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SampledBody2D(np.ones(16), np.ones(16)),
+    lambda: LinearImage([[1.0, 0.3], [0.0, 1.0]], random_body("fourier2d", 2, seed=3)),
+    lambda: VPolytope(np.vstack([np.eye(4), -np.eye(4)])),
+], ids=["sampled", "linear-image", "4d-polytope"])
+def test_santalo_point_unsupported_bodies(make):
+    K = make()
+    with pytest.raises(UnsupportedError):
+        santalo_point(K)
+    assert not classify(K).in_Ks
+
+
 # ---------------------------------------------------------------------------
 # random bodies and serialization
 # ---------------------------------------------------------------------------
@@ -368,7 +455,7 @@ def test_random_body_deterministic_and_valid(kind, dim):
     K1 = random_body(kind, dim, seed=42)
     K2 = random_body(kind, dim, seed=42)
     assert json.dumps(body_to_json(K1)) == json.dumps(body_to_json(K2))
-    tag = classify(K1, check_santalo=False)
+    tag = classify(K1)
     assert tag.in_K0
 
 
@@ -424,7 +511,7 @@ def test_classify_flags():
     assert tag.in_K0 and tag.in_Kc and tag.in_Ks and not tag.in_F0plus
     tag = classify(Ellipsoid(np.diag([2.0, 1.0])))
     assert tag.in_K0 and tag.in_Kc and tag.in_Ks and tag.in_F0plus
-    tag = classify(ShiftedBall([0.4, 0.0], 1.0), check_santalo=False)
+    tag = classify(ShiftedBall([0.4, 0.0], 1.0))
     assert tag.in_K0 and not tag.in_Kc and tag.in_F0plus
 
 

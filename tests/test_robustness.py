@@ -18,6 +18,7 @@ from geominima import (
     body_from_json,
     mahler,
     p_surface_area,
+    santalo_point,
 )
 
 FAST = settings(max_examples=25, deadline=None,
@@ -90,6 +91,26 @@ def test_hulls_with_many_vertices(dim, count, jitter, seed):
 
 
 @FAST
+@given(st.sampled_from([2, 3]), st.integers(0, 2 ** 32 - 1), st.floats(-3.0, 3.0),
+       st.floats(0.0, 0.95))
+def test_santalo_point_certifies_at_any_scale(dim, seed, log_scale, shift):
+    """Random hulls at scale 10^U(-3, 3), with the origin moved part of the way
+    to a vertex: the Santalo point certifies, with the polar centroid at most
+    1e-8 in units of the body's size, and never gives a raw error or a NaN."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((rng.integers(dim + 1, 13), dim))
+    try:
+        K0 = VPolytope(10.0 ** log_scale * (pts - pts.mean(axis=0)))
+        K = K0.translate(shift * K0.vertices[rng.integers(len(K0.vertices))])
+    except GeominimaError:
+        return
+    z = santalo_point(K)
+    assert np.all(np.isfinite(z))
+    R = np.max(np.abs(K.vertices))
+    assert np.linalg.norm(K.translate(z).polar().centroid()) * R <= 1e-8
+
+
+@FAST
 @given(st.sampled_from([2, 3]), st.integers(0, 2 ** 32 - 1),
        st.sampled_from([0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6]))
 def test_near_duplicate_normals(dim, seed, eps):
@@ -146,10 +167,14 @@ def test_fuzzed_body_json(kind, data):
             if edit == "cut":
                 rep[field] = rep[field][:data.draw(st.integers(0, len(rep[field]) - 1))]
                 continue
+            # descend through non-empty lists to one entry, which may be junk
+            # from an earlier edit, and set it to a number
             node = rep[field]
-            while isinstance(node[0], list) and node[0]:
-                node = node[data.draw(st.integers(0, len(node) - 1))]
-            node[data.draw(st.integers(0, len(node) - 1))] = data.draw(_numbers)
+            i = data.draw(st.integers(0, len(node) - 1))
+            while isinstance(node[i], list) and node[i]:
+                node = node[i]
+                i = data.draw(st.integers(0, len(node) - 1))
+            node[i] = data.draw(_numbers)
     K = _finite_or_refused(lambda: body_from_json({"dim": 2, "repr": rep}))
     if K is not None:
         assert body_from_json(json.loads(json.dumps(K.to_json()))).to_json() == K.to_json()
