@@ -91,9 +91,25 @@ def _check_transform(T, dim):
 
 
 class ConvexBody:
-    """Base class.  Subclasses are immutable value objects."""
+    """Base class.  Subclasses are immutable value objects.
 
+    What a body derives from itself alone (its polar, its samples on a grid)
+    is computed once and kept in the slot ``_memo``, outside the attributes
+    that describe the body; it dies with the body."""
+
+    __slots__ = ("_memo",)
     dim: int
+
+    def _derived(self, key, make):
+        """make(), computed on the first call with this key and kept on the
+        body.  A make() that raises keeps nothing, so it raises again."""
+        try:
+            memo = self._memo
+        except AttributeError:
+            memo = self._memo = {}
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
 
     def support(self, u):
         """h(u) = max over the body of <x, u>, for unit u (single or batch)."""
@@ -104,7 +120,8 @@ class ConvexBody:
         raise NotImplementedError
 
     def polar(self):
-        """The polar dual {y : <x, y> <= 1 for all x in the body}."""
+        """The polar dual {y : <x, y> <= 1 for all x in the body}; the same
+        object on every call."""
         raise NotImplementedError
 
     def volume(self):
@@ -202,7 +219,7 @@ class _Polytope(ConvexBody):
 
     def polar(self):
         # the vertices of the polar are the facet duals u_i / h_i
-        return VPolytope(self._fnormals / self._foffsets[:, None])
+        return self._derived("polar", lambda: VPolytope(self._fnormals / self._foffsets[:, None]))
 
     def linear_map(self, T):
         T = _check_transform(T, self.dim)
@@ -376,6 +393,9 @@ class Ellipsoid(ConvexBody):
         return _ret((wq + np.sqrt(disc)) / w2, single)
 
     def polar(self):
+        return self._derived("polar", self._polar)
+
+    def _polar(self):
         A, c = self.matrix, self.center
         if not c.any():
             return Ellipsoid(self._inv.T)
@@ -534,7 +554,7 @@ class FourierBody2D(ConvexBody):
         return float(out[0]) if scalar else out
 
     def polar(self, resolution=4096):
-        return _FourierPolar(self, resolution)
+        return self._derived(("polar", resolution), lambda: _FourierPolar(self, resolution))
 
     def volume(self):
         # Parseval: area = pi*a0^2 + (pi/2) * sum_k (1 - k^2)(a_k^2 + b_k^2)
@@ -626,7 +646,8 @@ class SampledBody2D(ConvexBody):
         return _ret(circle_interp(mat, self.thetas, self.rho_values), single)
 
     def polar(self):
-        return SampledBody2D(1.0 / self.rho_values, 1.0 / self.h_values)
+        return self._derived(
+            "polar", lambda: SampledBody2D(1.0 / self.rho_values, 1.0 / self.h_values))
 
     def volume(self):
         return _sampled_area(self.rho_values)
@@ -697,7 +718,7 @@ class LinearImage(ConvexBody):
         return abs(np.linalg.det(self.T)) * self.base.volume()
 
     def polar(self):
-        return LinearImage(self._inv.T, self.base.polar())
+        return self._derived("polar", lambda: LinearImage(self._inv.T, self.base.polar()))
 
     def linear_map(self, T):
         T = _check_transform(T, self.dim)

@@ -22,6 +22,7 @@ import numpy as np
 from .bodies import ball, body_from_json, body_to_json, random_body
 from .errors import GeominimaError, InputError
 from .functionals import (
+    _finite_order,
     affine_surface_area_p,
     in_vp,
     mahler,
@@ -50,7 +51,10 @@ def _parse_orders(text, n):
         orders = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise InputError(f"bad order list {text!r}") from exc
+    if not orders:
+        raise InputError(f"no orders in {text!r}")
     for p in orders:
+        _finite_order(p)
         if abs(p + n) < 1e-6:
             raise InputError(f"order p = {p} equals the excluded value -n for n = {n}")
     return orders
@@ -94,6 +98,8 @@ def _cmd_compute(args):
     n = K.dim
     orders = _parse_orders(args.p, n) if args.p else [1.0]
     quantities = [q.strip() for q in args.quantities.split(",") if q.strip()]
+    if not quantities:
+        raise InputError(f"no quantities in {args.quantities!r}")
     unknown = set(quantities) - set(QUANTITIES)
     if unknown:
         raise InputError(f"unknown quantities: {sorted(unknown)}")

@@ -213,6 +213,8 @@ def estimate_gp(K: ConvexBody, p: float, families=None, restarts: int = 8,
     derived by counter so results do not depend on evaluation order."""
     n = K.dim
     _guard_order(p, n)
+    if restarts < 0:
+        raise InputError(f"restarts must be non-negative, got {restarts}")
     if isinstance(K, _Polytope) and n not in (2, 3):
         raise DomainError("polytope estimation requires dimension 2 or 3")
 

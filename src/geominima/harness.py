@@ -101,6 +101,10 @@ class HarnessConfig:
             raise InputError("dims must be a subset of {2, 3}")
         if self.grid_resolution < 8:
             raise InputError("grid_resolution must be at least 8")
+        if not isinstance(self.restarts, int) or self.restarts < 0:
+            raise InputError("restarts must be a non-negative integer")
+        if not all(math.isfinite(p) for p in self.p_grid):
+            raise InputError("p grid orders must be finite numbers")
         for d in self.dims:
             if not self.orders_for(d):
                 raise InputError(f"p grid leaves no admissible orders for n = {d}")

@@ -20,6 +20,7 @@ from .errors import DomainError, UnsupportedError
 from .grids import SphericalGrid, default_grid
 
 _POSITIVITY_RATIO = 1e-12
+_MAX_SPAN = 27.7              # ~ log(1e12): max allowed decade span of h values
 
 
 @dataclass(eq=False, frozen=True)
@@ -64,6 +65,34 @@ def curvature_values(K: ConvexBody, grid: SphericalGrid) -> np.ndarray:
     return vals
 
 
+def _log_values(x, what):
+    x = np.asarray(x, dtype=float)
+    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
+        raise DomainError(f"{what} must be finite and strictly positive")
+    logs = np.log(x)
+    if logs.max() - logs.min() > _MAX_SPAN:
+        raise DomainError(f"{what} spans more than 12 decades; rejecting as degenerate")
+    return logs
+
+
+def _read_only(x):
+    x.flags.writeable = False
+    return x
+
+
+def _grid_samples(K: ConvexBody, grid: SphericalGrid, support=True):
+    """(f_K, log h_K) on the grid.  Each is sampled and checked once per body
+    and grid (the key is the grid object, which the body keeps alive) and
+    kept read-only on the body.  Curvature positivity is checked first; with
+    support=False, log h_K is neither sampled nor checked and is None.  A
+    sample that fails is not kept, so it fails again on the next call."""
+    f = K._derived(("curvature", grid), lambda: _read_only(curvature_values(K, grid)))
+    if not support:
+        return f, None
+    return f, K._derived(("log support", grid), lambda: _read_only(
+        _log_values(K.support(grid.nodes), "support values")))
+
+
 def surface_measure(K: ConvexBody, grid: SphericalGrid | None = None):
     """S(K, .): discrete atoms for polytopes, density for smooth bodies."""
     if isinstance(K, _Polytope):
@@ -72,7 +101,7 @@ def surface_measure(K: ConvexBody, grid: SphericalGrid | None = None):
     if has_curvature(K):
         if grid is None:
             grid = default_grid(K.dim)
-        return DensitySurfaceMeasure(grid=grid, values=curvature_values(K, grid))
+        return DensitySurfaceMeasure(grid=grid, values=_grid_samples(K, grid, support=False)[0])
     raise UnsupportedError(f"no surface-area measure for {type(K).__name__}")
 
 

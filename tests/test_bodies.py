@@ -920,3 +920,44 @@ def test_polar_of_a_linear_image_and_the_bipolar_of_a_fourier_body():
     assert json.dumps(bipolar.to_json()) == json.dumps(ref.polar().to_json())
     np.testing.assert_allclose(bipolar.h_values, F.support(
         np.column_stack([np.cos(bipolar.thetas), np.sin(bipolar.thetas)])), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the polar is computed once per body
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", BODY_MAKERS)
+def test_polar_is_the_same_object_on_every_call(name):
+    K = BODY_MAKERS[name]()
+    P = K.polar()
+    assert K.polar() is P
+    assert P.polar() is P.polar()
+
+
+def test_fourier_polar_is_kept_per_resolution():
+    F = _fourier()
+    assert F.polar() is F.polar(4096) is F.polar(resolution=4096)
+    assert F.polar(1024) is F.polar(1024)
+    assert F.polar(1024) is not F.polar()
+    for _ in range(2):   # a polar that fails is not kept, so it fails again
+        with pytest.raises(InputError):
+            F.polar(4)
+
+
+def test_fourier_polar_solves_its_support_samples_once_across_polar_calls(radial_solves):
+    F = _fourier()
+    u = circle_dirs(16)
+    first = F.polar().support(u)
+    for _ in range(3):
+        np.testing.assert_array_equal(F.polar().support(u), first)
+        F.polar().polar()
+        F.polar().to_json()
+    assert radial_solves == [4096]
+
+
+def test_kept_polar_is_not_an_attribute_of_the_body():
+    F = _fourier()
+    before = dict(vars(F))
+    F.polar()
+    assert vars(F).keys() == before.keys()
+    assert json.dumps(F.to_json()) == json.dumps(FourierBody2D(F.a, F.b).to_json())

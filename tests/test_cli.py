@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from geominima import bodies
 from geominima.cli import main
 
 
@@ -254,3 +255,45 @@ def test_compute_half_space_family_too_small_for_a_hull(tmp_path, capsys, dim, n
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "does not bound a body" in lines[0] and "QH" not in lines[0]
+
+
+def _assert_input_error(argv, capsys):
+    """The call exits 2, prints no result and reports an error."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("orders", ["nan", "inf", "-inf", "1,nan", "1e999"])
+def test_compute_rejects_non_finite_orders(ball_file, capsys, orders):
+    _assert_input_error(["compute", "--body", ball_file, "--quantities", "vp,asp",
+                         f"--p={orders}"], capsys)
+
+
+@pytest.mark.parametrize("order", ["nan", "inf", "-inf"])
+def test_estimate_rejects_non_finite_orders(ball_file, capsys, order):
+    _assert_input_error(["estimate", "--body", ball_file, f"--p={order}"], capsys)
+
+
+@pytest.mark.parametrize("argv", [["--quantities", ","], ["--quantities", ""],
+                                  ["--quantities", "vp", "--p", ","]],
+                         ids=["no-quantities", "empty-quantities", "no-orders"])
+def test_compute_rejects_empty_lists(ball_file, capsys, argv):
+    _assert_input_error(["compute", "--body", ball_file] + argv, capsys)
+
+
+def test_estimate_rejects_negative_restarts(ball_file, capsys):
+    _assert_input_error(["estimate", "--body", ball_file, "--p", "1",
+                         "--restarts", "-1"], capsys)
+
+
+def test_compute_on_a_fourier_body_makes_four_trig_passes(tmp_path, calls):
+    path = tmp_path / "fourier.json"
+    path.write_text(json.dumps(bodies.random_body("fourier2d", 2, seed=5).to_json()))
+    trig = calls(bodies, "_trig", arg=2)
+    assert main(["compute", "--body", str(path),
+                 "--quantities", "volume,polar_volume,mahler,vp,sp,asp,in_vp",
+                 "--p=-4,-1.5,-0.5,0,1,2", "--out", str(tmp_path / "out.json")]) == 0
+    # the convexity check, the polar's radial samples, then f_K and h_K on the grid
+    assert trig == [2048, 4096, 4096, 4096]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from geominima import (
     DomainError,
     Ellipsoid,
+    FourierBody2D,
     HPolytope,
     InputError,
     ShiftedBall,
@@ -25,10 +26,13 @@ from geominima import (
     mixed_volume_p,
     mixed_volume_p_star,
     p_surface_area,
+    SphericalGrid,
     random_body,
     star_body_is_convex,
+    surface_measure,
     unit_ball_volume,
 )
+from geominima.functionals import _integration_pieces
 
 P_GRID = (-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0)
 
@@ -344,3 +348,119 @@ def test_jensen_direction_for_shifted_balls():
             assert mixed_volume_p(K, ball(2), p) < omega
         for p in (-0.5, -1.0, -1.5):
             assert mixed_volume_p(K, ball(2), p) > omega
+
+
+# ---------------------------------------------------------------------------
+# non-finite orders
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_non_finite_orders_are_input_errors(p):
+    E, F = Ellipsoid(np.diag([1.5, 0.8])), random_body("fourier2d", 2, seed=5)
+    for call in (lambda: mixed_volume_p(square(), ball(2), p),
+                 lambda: mixed_volume_p(F, ball(2), p),
+                 lambda: p_surface_area(E, p),
+                 lambda: affine_surface_area_p(F, p),
+                 lambda: in_vp(E, p),
+                 lambda: in_vp(F, p),
+                 lambda: curvature_image(E, p),
+                 lambda: mixed_volume_p_star(E, curvature_image(E, 1.0), p)):
+        with pytest.raises(InputError, match="not a finite number"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# grid samples: f_K and log h_K are sampled once per body and grid
+# ---------------------------------------------------------------------------
+
+COMPUTE_ORDERS = (-4.0, -1.5, -0.5, 0.0, 1.0, 2.0)
+
+
+def _compute_all(make, grid):
+    """The seven quantities of ``geominima compute`` at COMPUTE_ORDERS, each
+    computed on the body make() returns."""
+    out = [make().volume(), make().polar().volume(), mahler(make())]
+    for p in COMPUTE_ORDERS:
+        out += [mixed_volume_p(make(), ball(grid.dim), p, grid),
+                p_surface_area(make(), p, grid),
+                affine_surface_area_p(make(), p, grid),
+                in_vp(make(), p, grid).member]
+    return out
+
+
+def test_compute_samples_a_fourier_body_once_per_grid(calls):
+    F = random_body("fourier2d", 2, seed=5)
+    curvature = calls(FourierBody2D, "curvature_values")
+    support = calls(FourierBody2D, "support")
+    grid = default_grid(2)
+    _compute_all(lambda: F, grid)
+    _compute_all(lambda: F, grid)
+    assert curvature == [4096] and support == [4096]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_body("fourier2d", 2, seed=5),
+    lambda: ShiftedBall([0.3, -0.2], 1.1),
+    lambda: Ellipsoid(np.diag([2.0, 1.0, 0.75])),
+], ids=["fourier2d", "shifted-ball2", "ellipsoid3"])
+def test_kept_samples_give_the_values_of_a_fresh_body_bit_for_bit(make):
+    K = make()
+    grid = default_grid(K.dim)
+    fresh = _compute_all(make, grid)
+    assert _compute_all(lambda: K, grid) == fresh
+    assert _compute_all(lambda: K, grid) == fresh
+
+
+def test_a_second_grid_gets_its_own_samples(calls):
+    F = random_body("fourier2d", 2, seed=5)
+    support = calls(FourierBody2D, "support")
+    g1, g2 = default_grid(2, 512), default_grid(2, 1024)
+    # same grid id as g1, other nodes: keyed on the grid object, not its id
+    g3 = SphericalGrid(2, g1.nodes[::-1].copy(), g1.weights, kind=g1.kind,
+                       thetas=g1.thetas[::-1].copy())
+    values = [affine_surface_area_p(F, 0.5, g) for g in (g1, g2, g3)]
+    assert support == [512, 1024, 512]
+    assert [affine_surface_area_p(F, 0.5, g) for g in (g1, g2, g3)] == values
+    assert support == [512, 1024, 512]
+    assert values == [affine_surface_area_p(FourierBody2D(F.a, F.b), 0.5, g)
+                      for g in (g1, g2, g3)]
+
+
+def test_failed_curvature_sample_raises_on_every_call(calls):
+    F = FourierBody2D([1.0, 0.0, 1.0 / 3.0])   # curvature touches zero
+    curvature = calls(FourierBody2D, "curvature_values")
+    support = calls(FourierBody2D, "support")
+    for _ in range(2):
+        for call in (lambda: affine_surface_area_p(F, 1.0),
+                     lambda: mixed_volume_p(F, ball(2), 1.0),
+                     lambda: surface_measure(F)):
+            with pytest.raises(DomainError, match="curvature"):
+                call()
+    # curvature is checked first, so no support value is sampled
+    assert curvature == [4096] * 6 and support == []
+
+
+def test_failed_support_sample_raises_on_every_call(calls, monkeypatch):
+    F = random_body("fourier2d", 2, seed=5)
+    monkeypatch.setattr(FourierBody2D, "support", lambda self, u: -np.ones(len(u)))
+    curvature = calls(FourierBody2D, "curvature_values")
+    support = calls(FourierBody2D, "support")
+    for _ in range(2):
+        with pytest.raises(DomainError, match="support values"):
+            affine_surface_area_p(F, 1.0)
+    # the curvature samples passed and are kept; the support samples are not
+    assert curvature == [4096] and support == [4096, 4096]
+    assert surface_measure(F).total_mass > 0
+
+
+def test_kept_samples_are_read_only():
+    F = random_body("fourier2d", 2, seed=5)
+    grid = default_grid(2)
+    _, log_h, _ = _integration_pieces(F, grid)
+    values = surface_measure(F, grid).values
+    assert _integration_pieces(F, grid)[1] is log_h
+    assert surface_measure(F, grid).values is values
+    for arr in (log_h, values):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0

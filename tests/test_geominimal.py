@@ -277,3 +277,17 @@ def test_lutwak_round_trip():
 def test_lutwak_rejects_small_order():
     with pytest.raises(InputError):
         lutwak_gp_from_tilde(5.0, 0.5, 2)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_estimate_rejects_non_finite_orders(p):
+    with pytest.raises(InputError, match="not a finite number"):
+        estimate_gp(ball(2), p)
+    with pytest.raises(InputError, match="not a finite number"):
+        gp_objective(ball(2), ball(2), p)
+
+
+def test_estimate_rejects_negative_restarts():
+    with pytest.raises(InputError, match="restarts"):
+        estimate_gp(ball(2), 1.0, restarts=-1)
+    assert estimate_gp(ball(2), 1.0, restarts=0).restarts_used == 0

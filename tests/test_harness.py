@@ -411,3 +411,17 @@ def test_volume_cap_solves_a_fourier_polar_once_per_body(radial_solves):
         log_j = math.log(n) + (n / (n + p)) * math.log(P.volume()) \
             + (p / (n + p)) * math.log(P.polar().volume())
         assert rec.value == math.exp(log_j)
+
+
+@pytest.mark.parametrize("restarts", [-1, 1.5, "2"])
+def test_config_rejects_bad_restarts(restarts):
+    with pytest.raises(InputError, match="restarts"):
+        HarnessConfig(restarts=restarts)
+    with pytest.raises(InputError, match="restarts"):
+        HarnessConfig.from_dict({"restarts": restarts})
+
+
+@pytest.mark.parametrize("order", [math.inf, math.nan])
+def test_config_rejects_non_finite_orders(order):
+    with pytest.raises(InputError, match="finite"):
+        HarnessConfig(p_grid=(order, 1.0))
