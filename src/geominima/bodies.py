@@ -22,7 +22,6 @@ differs from a ``VPolytope`` only in its input and its JSON.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -685,9 +684,10 @@ class _FourierPolar(SampledBody2D):
         thetas = 2.0 * math.pi * np.arange(resolution) / resolution
         self._set_radial(1.0 / body.support_angle(thetas))
 
-    @cached_property
+    @property
     def h_values(self):
-        return _sample_leg(1.0 / self.body.radial_angle(self.thetas), self.n_nodes, radial=False)
+        return self._derived("h_values", lambda: _sample_leg(
+            1.0 / self.body.radial_angle(self.thetas), self.n_nodes, radial=False))
 
 
 class LinearImage(ConvexBody):

@@ -14,7 +14,6 @@ precision.
 
 import argparse
 import json
-import re
 import sys
 
 import numpy as np
@@ -234,8 +233,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):
-        # argparse reads "--p -4,1" as two options; pass it on as "--p=-4,1"
-        if argv[i - 1] == "--p" and re.match(r"-[\d.]", argv[i]):
+        # --p always takes one value, but argparse reads "--p -4,1" or
+        # "--p -inf" as two options; pass it on as "--p=-4,1"
+        if argv[i - 1] == "--p" and argv[i].startswith("-"):
             argv[i - 1:i + 1] = [f"--p={argv[i]}"]
     try:
         args = parser.parse_args(argv)

@@ -40,6 +40,12 @@ def logsumexp(a):
     return float(m + math.log(np.sum(np.exp(a - m))))
 
 
+def log_objective(n: int, p: float, log_vp: float, log_polar_volume: float) -> float:
+    """log of n V_p(K, Q)^{n/(n+p)} |Q polar|^{p/(n+p)} from log V_p(K, Q)
+    and log |Q polar|; the variational form passes a star body L = Q polar."""
+    return math.log(n) + (n / (n + p)) * log_vp + (p / (n + p)) * log_polar_volume
+
+
 @dataclass(eq=False, frozen=True)
 class StarBody:
     """Star-shaped set about the origin, known through positive radial
@@ -196,10 +202,8 @@ def affine_surface_area_p_variational(K: ConvexBody, p: float,
 
 
 def _star_objective(K, L, p, grid):
-    n = K.dim
-    log_nvp = math.log(n) + math.log(mixed_volume_p_star(K, L, p, grid))
-    log_vol = math.log(L.volume())
-    return math.exp(math.log(n) + (n / (n + p)) * (log_nvp - math.log(n)) + (p / (n + p)) * log_vol)
+    log_vp = math.log(mixed_volume_p_star(K, L, p, grid))
+    return math.exp(log_objective(K.dim, p, log_vp, math.log(L.volume())))
 
 
 def curvature_image(K: ConvexBody, p: float, grid: SphericalGrid | None = None) -> StarBody:

@@ -5,10 +5,11 @@ The quantity estimated is, for a body K and order p (p != -n),
     inf or sup over convex Q of  n * V_p(K, Q)^{n/(n+p)} * |Q polar|^{p/(n+p)}
 
 with the infimum for p >= 0 and the supremum for p < 0.  The optimization
-runs over structured candidate families (a fixed set always containing K,
-the unit ball and its dilates; ellipsoids through a log-Cholesky chart; and,
-for polytope K, positive offsets over its own normal fan), by multistart
-Nelder-Mead on log-scale objectives.  Every returned value is certified
+runs over the fixed candidates K and the unit ball B and over structured
+candidate families (ellipsoids through a log-Cholesky chart and, for
+polytope K, positive offsets over its own normal fan), by multistart
+Nelder-Mead on log-scale objectives.  The objective is invariant under
+Q -> tQ, so B stands for all its dilates.  Every returned value is certified
 one-sided: an upper bound of the infimum for p >= 0, a lower bound of the
 supremum for p < 0.
 """
@@ -34,6 +35,7 @@ from .functionals import (
     _guard_order,
     _integration_pieces,
     _log_values,
+    log_objective,
     logsumexp,
 )
 from .grids import SphericalGrid, default_grid, unit_ball_volume
@@ -59,9 +61,8 @@ class _Evaluator:
         return float(logsumexp(self.p * log_hq + self._base))
 
     def log_objective(self, log_hq, log_polar_volume):
-        n, p = self.n, self.p
-        log_vp = self.log_n_vp(log_hq) - math.log(n)
-        return math.log(n) + (n / (n + p)) * log_vp + (p / (n + p)) * log_polar_volume
+        log_vp = self.log_n_vp(log_hq) - math.log(self.n)
+        return log_objective(self.n, self.p, log_vp, log_polar_volume)
 
     def log_objective_body(self, Q):
         hq = Q.support(self.u)
@@ -89,9 +90,6 @@ class EllipsoidFamily:
         self._diag_idx = np.arange(dim)
         rows, cols = np.tril_indices(dim, k=-1)
         self._rows, self._cols = rows, cols
-
-    def applicable(self, K):
-        return True
 
     def matrix(self, x):
         L = np.zeros((self.dim, self.dim))
@@ -135,9 +133,6 @@ class PolytopeSupportFamily:
         self.h0 = offsets
         self.dim = K.dim
         self.n_params = normals.shape[0]
-
-    def applicable(self, K):
-        return self.n_params <= _MAX_SUPPORT_FAMILY_FACETS
 
     def initial_points(self, K, restarts, rng):
         points = [np.zeros(self.n_params)]
@@ -198,19 +193,13 @@ class GpEstimate:
         return out
 
 
-def _default_families(K):
-    fams = [EllipsoidFamily(K.dim)]
-    if isinstance(K, _Polytope):
-        fams.append(PolytopeSupportFamily(K))
-    return fams
-
-
-def estimate_gp(K: ConvexBody, p: float, families=None, restarts: int = 8,
-                tol: float = 1e-9, seed: int = 0, grid: SphericalGrid | None = None,
-                maxiter: int = 400, growth_limit: float = GROWTH_LIMIT) -> GpEstimate:
-    """Optimize the objective over candidate families plus the fixed set
-    {K, B, dilates of B}.  Deterministic for a fixed seed; restart seeds are
-    derived by counter so results do not depend on evaluation order."""
+def estimate_gp(K: ConvexBody, p: float, restarts: int = 8, seed: int = 0,
+                grid: SphericalGrid | None = None, maxiter: int = 400) -> GpEstimate:
+    """Optimize the objective over the candidate families plus the fixed
+    candidates K and B.  The objective is invariant under Q -> tQ, so no
+    dilate of B adds a candidate.  Deterministic for a fixed seed; restart
+    seeds are derived by counter so results do not depend on evaluation
+    order."""
     n = K.dim
     _guard_order(p, n)
     if restarts < 0:
@@ -231,22 +220,17 @@ def estimate_gp(K: ConvexBody, p: float, families=None, restarts: int = 8,
     unit = ball(n)
     log_jk = ev.log_objective_body(K)
     log_jb = ev.log_objective_body(unit)
-    candidates = [(log_jk, K, "self"), (log_jb, unit, "unit-ball")]
-    for r in 2.0 ** np.linspace(-2, 2, 9):
-        log_hq = np.full(ev.u.shape[0], math.log(r))
-        lj = ev.log_objective(log_hq, math.log(unit_ball_volume(n)) - n * math.log(r))
-        candidates.append((lj, Ellipsoid(r * np.eye(n)), f"ball-dilate-{r:g}"))
-
-    if families is None:
-        families = _default_families(K)
+    families = [EllipsoidFamily(n)]
+    if isinstance(K, _Polytope):
+        families.append(PolytopeSupportFamily(K))
 
     trace = []
     suspected = False
-    log_ref = log_jk
+    log_growth_cap = log_jk + math.log(GROWTH_LIMIT)
 
     best_family = []   # (log_j, family, params) per completed restart
     for fam_idx, fam in enumerate(families):
-        if not fam.applicable(K):
+        if isinstance(fam, PolytopeSupportFamily) and fam.n_params > _MAX_SUPPORT_FAMILY_FACETS:
             trace.append({"family": fam.name, "skipped": "not applicable"})
             continue
         rng = np.random.default_rng(np.random.SeedSequence([seed, fam_idx]))
@@ -265,12 +249,12 @@ def estimate_gp(K: ConvexBody, p: float, families=None, restarts: int = 8,
                         return np.inf
                 if not np.isfinite(lj):
                     return np.inf
-                if sign < 0 and lj > log_ref + math.log(growth_limit):
+                if sign < 0 and lj > log_growth_cap:
                     state["grew"] = True
                 return sign * lj
 
             res = minimize(objective, x0, method="Nelder-Mead",
-                           options={"maxiter": maxiter, "xatol": 1e-8, "fatol": tol})
+                           options={"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-9})
             trace.append({"family": fam.name, "restart": ridx,
                           "fun": float(res.fun), "nit": int(res.nit), "nfev": int(res.nfev)})
             if state["grew"]:
@@ -278,7 +262,7 @@ def estimate_gp(K: ConvexBody, p: float, families=None, restarts: int = 8,
             if np.isfinite(res.fun):
                 best_family.append((sign * res.fun, fam, np.asarray(res.x)))
 
-    best_log, best_body, _ = min(candidates, key=lambda c: sign * c[0])
+    best_log, best_body = min((log_jk, K), (log_jb, unit), key=lambda c: sign * c[0])
     for log_j, fam, x in best_family:
         if sign * log_j < sign * best_log - _TIE_TOL:
             best_log, best_body = log_j, fam.build(x)

@@ -40,7 +40,7 @@ from .bodies import (
     random_body,
 )
 from .errors import DomainError, GeominimaError, InputError, UnsupportedError
-from .functionals import holder_cyclic_check, mahler, p_surface_area
+from .functionals import holder_cyclic_check, log_objective, mahler, p_surface_area
 from .geominimal import estimate_gp, gp_ball_shifted, gp_objective
 from .grids import default_grid, unit_ball_volume
 
@@ -195,7 +195,6 @@ class _GpRecord:
     tight: bool          # ellipsoid estimate that meets its closed form
     kind: str            # "estimate" or "volume-cap"
     cap_self: float      # objective at Q = K
-    cap_ball: float | None   # objective at Q = B, when computable
 
 
 class _GpCache:
@@ -209,34 +208,28 @@ class _GpCache:
     def __init__(self, config: HarnessConfig):
         self.config = config
         self._store = {}
-        self._log_volumes = {}   # body key -> (log |K|, log |K polar|)
 
     def bound(self, K: ConvexBody, p: float) -> _GpRecord:
-        body_key = _body_key(K)
-        key = (body_key, float(p))
+        key = (_body_key(K), float(p))
         if key not in self._store:
-            self._store[key] = self._compute(K, p, body_key)
+            self._store[key] = self._compute(K, p)
         return self._store[key]
 
-    def _compute(self, K, p, body_key):
+    def _compute(self, K, p):
         try:
             est = estimate_gp(K, p, restarts=self.config.restarts,
                               seed=self.config.seed, maxiter=250,
                               grid=default_grid(K.dim, self.config.grid_resolution))
         except (UnsupportedError, DomainError, InputError):
-            n = K.dim
-            if body_key not in self._log_volumes:
-                self._log_volumes[body_key] = math.log(K.volume()), math.log(K.polar().volume())
-            log_k, log_kp = self._log_volumes[body_key]
-            log_j = math.log(n) + (n / (n + p)) * log_k + (p / (n + p)) * log_kp
-            cap = math.exp(log_j)
-            return _GpRecord(cap, False, "volume-cap", cap, None)
+            cap = math.exp(log_objective(K.dim, p, math.log(K.volume()),
+                                         math.log(K.polar().volume())))
+            return _GpRecord(cap, False, "volume-cap", cap)
         # an ellipsoid estimate is tight only when it meets its closed form
         tight = False
         if is_centered_ellipsoid(K):
             exact = gp_ellipsoid_exact(np.linalg.det(K.matrix), K.dim, p)
             tight = abs(est.value - exact) <= self.config.tolerances["estimator"] * exact
-        return _GpRecord(est.value, tight, "estimate", est.objective_at_K, est.objective_at_B)
+        return _GpRecord(est.value, tight, "estimate", est.objective_at_K)
 
 
 def gp_ellipsoid_exact(det: float, n: int, p: float) -> float:
@@ -283,10 +276,11 @@ def _instance(body=None, name="", **params) -> dict:
 
 
 def _center_at_centroid(K: ConvexBody):
-    c = K.centroid()
-    if np.linalg.norm(c) == 0.0:
-        return K
-    return K.translate(c)
+    """K moved to put its centroid at the origin; the same object on every call."""
+    def center():
+        c = K.centroid()
+        return K if np.linalg.norm(c) == 0.0 else K.translate(c)
+    return K._derived("centered", center)
 
 
 def _support_bounds(K: ConvexBody):

@@ -955,6 +955,17 @@ def test_fourier_polar_solves_its_support_samples_once_across_polar_calls(radial
     assert radial_solves == [4096]
 
 
+def test_fourier_polar_keeps_its_support_samples_off_its_attributes(radial_solves):
+    P = _fourier().polar()
+    before = dict(vars(P))
+    u = circle_dirs(16)
+    first = P.support(u)
+    assert vars(P).keys() == before.keys()
+    assert all(vars(P)[k] is v for k, v in before.items())
+    np.testing.assert_array_equal(P.support(u), first)
+    assert radial_solves == [4096]
+
+
 def test_kept_polar_is_not_an_attribute_of_the_body():
     F = _fourier()
     before = dict(vars(F))

@@ -276,6 +276,21 @@ def test_estimate_rejects_non_finite_orders(ball_file, capsys, order):
     _assert_input_error(["estimate", "--body", ball_file, f"--p={order}"], capsys)
 
 
+@pytest.mark.parametrize("argv", [["estimate", "--p", "-inf"],
+                                  ["estimate", "--p", "-nan"],
+                                  ["estimate", "--p", "-Infinity"],
+                                  ["compute", "--quantities", "vp", "--p", "-inf,1"],
+                                  ["compute", "--quantities", "vp", "--p", "-nan,1"]])
+def test_space_separated_non_finite_orders_reach_the_order_check(ball_file, capsys, argv):
+    # --p takes one value, so a value that starts with "-" is never an option
+    assert main(argv[:1] + ["--body", ball_file] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "not a finite number" in lines[0]
+
+
 @pytest.mark.parametrize("argv", [["--quantities", ","], ["--quantities", ""],
                                   ["--quantities", "vp", "--p", ","]],
                          ids=["no-quantities", "empty-quantities", "no-orders"])

@@ -1,5 +1,6 @@
 """Geominimal objective and one-sided estimation."""
 
+import inspect
 import json
 import math
 
@@ -18,6 +19,7 @@ from geominima import (
     body_to_json,
     default_grid,
     estimate_gp,
+    geominimal,
     gp_ball_shifted,
     gp_objective,
     lutwak_gp_from_tilde,
@@ -35,6 +37,20 @@ def square():
 # ---------------------------------------------------------------------------
 # objective
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("t", [0.25, 4.0])
+def test_objective_is_invariant_under_scaling_the_candidate(t):
+    # V_p(K, tQ) = t^p V_p(K, Q) and |(tQ) polar| = t^-n |Q polar| cancel
+    g = default_grid(2, 1024)
+    Ks = (square(), Ellipsoid([[1.5, 0.3], [0.0, 0.7]]), random_body("fourier2d", 2, seed=15))
+    Qs = (ball(2), Ellipsoid([[1.2, 0.0], [0.4, 0.8]]), random_body("polytope-hull", 2, seed=3))
+    for K in Ks:
+        for Q in Qs:
+            tQ = Q.linear_map(t * np.eye(2))
+            for p in (-3.0, -1.0, 0.5, 2.0):     # both sides of 0 and of -n
+                assert gp_objective(K, tQ, p, g) == pytest.approx(
+                    gp_objective(K, Q, p, g), rel=1e-13)
+
 
 def test_objective_ball_pair():
     for p in (-3.0, -1.0, 0.5, 1.0, 2.0):
@@ -70,6 +86,14 @@ def test_estimate_ball_fixed_point(dim):
         est = estimate_gp(ball(dim), p, restarts=2, seed=0)
         assert est.value == pytest.approx(target, rel=1e-6)
         assert est.direction == ("upper" if p >= 0 else "lower")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, -1.0])
+def test_estimate_on_the_ball_keeps_the_ball_as_witness(dim, p):
+    # every dilate of B scores what B scores, so none of them beats K = B
+    K = ball(dim)
+    assert estimate_gp(K, p, restarts=2).witness is K
 
 
 def test_estimate_ellipse_closed_form():
@@ -177,10 +201,11 @@ def test_estimate_excluded_order_and_bad_dim():
         estimate_gp(ball(3), -3.0000004)
 
 
-def test_suspected_unbounded_flag():
+def test_suspected_unbounded_flag(monkeypatch):
     # the supremum over increasingly eccentric candidates diverges for
     # polytopes at negative orders; a tiny growth limit must trip the flag
-    est = estimate_gp(square(), -1.0, restarts=2, growth_limit=1.5, maxiter=600)
+    monkeypatch.setattr(geominimal, "GROWTH_LIMIT", 1.5)
+    est = estimate_gp(square(), -1.0, restarts=2, maxiter=600)
     assert est.suspected_unbounded
     assert est.direction == "lower"
     assert est.value >= est.objective_at_K * (1 - 1e-12)
@@ -192,6 +217,24 @@ def test_estimate_json_fields():
     assert set(blob) >= {"p", "value", "direction", "witness",
                          "objective_at_K", "objective_at_B", "restarts_used"}
     json.dumps(blob)   # serializable
+
+
+def test_estimate_settable_parameters():
+    # the benchmark tracer binds this signature and reads maxiter
+    params = list(inspect.signature(estimate_gp).parameters)
+    assert params == ["K", "p", "restarts", "seed", "grid", "maxiter"]
+
+
+def test_estimate_skips_the_support_family_past_twelve_facets():
+    K = random_body("polytope-hull", 3, seed=1)
+    assert K.facet_data()[0].shape[0] > 12
+    est = estimate_gp(K, 1.0, restarts=2, maxiter=50)
+    skipped = [e for e in est.trace if "skipped" in e]
+    assert len(skipped) == 1
+    assert set(skipped[0]) == {"family", "skipped"}
+    assert skipped[0]["family"] == "polytope-support"
+    families = {e["family"] for e in est.trace if "restart" in e}
+    assert families == {"ellipsoid"}
 
 
 def test_estimate_trace_records_restarts():

@@ -31,7 +31,7 @@ from geominima import (
     run_suite,
     unit_ball_volume,
 )
-from geominima.harness import _GpCache, _body_key, _one_sided
+from geominima.harness import _GpCache, _body_key, _center_at_centroid, _one_sided
 
 TWO_PI = 2 * math.pi
 
@@ -411,6 +411,23 @@ def test_volume_cap_solves_a_fourier_polar_once_per_body(radial_solves):
         log_j = math.log(n) + (n / (n + p)) * math.log(P.volume()) \
             + (p / (n + p)) * math.log(P.polar().volume())
         assert rec.value == math.exp(log_j)
+
+
+def test_centered_body_is_kept_on_the_body():
+    for K in (triangle(), square(), random_body("fourier2d", 2, seed=4)):
+        assert _center_at_centroid(K) is _center_at_centroid(K)
+    K = ball(2)
+    assert _center_at_centroid(K) is K
+
+
+def test_santalo_style_solves_a_fourier_polar_once_across_orders(radial_solves):
+    # each order with its own cache still reads the one centered body, its
+    # one polar and that polar's one set of support samples
+    K = random_body("fourier2d", 2, seed=4)
+    cfg = small_config()
+    for p in (-3.0, -1.0, -0.5, 0.5, 1.0, 2.0):
+        assert check_santalo_style(K, p, cfg, _GpCache(cfg)).verdict == "pass"
+    assert radial_solves == [4096]
 
 
 @pytest.mark.parametrize("restarts", [-1, 1.5, "2"])
