@@ -72,6 +72,14 @@ def _floats(x, what):
     return arr
 
 
+def _count(value, what):
+    """value as a non-negative int; a float, a bool or a negative number is an
+    InputError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise InputError(f"{what} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def _vector(x, dim, what):
     """x as a finite float vector of shape (dim,); anything else is an InputError."""
     x = _floats(x, what)
@@ -907,7 +915,7 @@ def random_body(kind: str, n: int, size: int = 12, seed: int = 0, rng=None) -> C
     same body.
     """
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_count(seed, "seed"))
     if kind == "polytope-hull":
         return _random_polytope(n, size, rng)
     if kind == "ellipsoid":

@@ -7,11 +7,20 @@ The quantity estimated is, for a body K and order p (p != -n),
 with the infimum for p >= 0 and the supremum for p < 0.  The optimization
 runs over the fixed candidates K and the unit ball B and over structured
 candidate families (ellipsoids through a log-Cholesky chart and, for
-polytope K, positive offsets over its own normal fan), by multistart
-Nelder-Mead on log-scale objectives.  The objective is invariant under
-Q -> tQ, so B stands for all its dilates.  Every returned value is certified
+polytope K, positive offsets over its own normal fan), by multistart local
+search on log-scale objectives.  The objective is invariant under Q -> tQ,
+so B stands for all its dilates.  Every returned value is certified
 one-sided: an upper bound of the infimum for p >= 0, a lower bound of the
 supremum for p < 0.
+
+For p > 0 each restart is a bounded L-BFGS-B descent of the log objective
+on its exact gradient.  In the ellipsoid chart the log objective is a
+log-sum-exp of p log|L^T u| plus -sum(x_diag) for the polar volume.  In the
+polytope family h_Q(u_j) is linear in the offsets of the facets that meet
+at the vertex attaining it, and log|Q polar| is a sum of cone volumes over
+the dual hull.  For p < 0 the restarts stay on Nelder-Mead: gradient ascent
+stops at the first local maximum of the supremum, where Nelder-Mead walks on
+towards the chart box and finds larger values.
 """
 
 import math
@@ -26,6 +35,7 @@ from .bodies import (
     Ellipsoid,
     HPolytope,
     ShiftedBall,
+    _count,
     _Polytope,
     ball,
     is_centered_ellipsoid,
@@ -44,6 +54,7 @@ GROWTH_LIMIT = 1e12          # objective growth treated as a diverging supremum
 _TIE_TOL = 1e-12
 _MAX_SUPPORT_FAMILY_FACETS = 12
 _CHART_BOUND = 8.0           # log-parameter box; e^8 : 1 is far beyond desk scale
+_DESCENT_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10}   # L-BFGS-B stopping rule, p > 0
 
 
 class _Evaluator:
@@ -63,6 +74,14 @@ class _Evaluator:
     def log_objective(self, log_hq, log_polar_volume):
         log_vp = self.log_n_vp(log_hq) - math.log(self.n)
         return log_objective(self.n, self.p, log_vp, log_polar_volume)
+
+    def log_objective_and_weights(self, log_hq, log_polar_volume):
+        """The log objective and the softmax weights of its V_p sum, which are
+        the derivatives of log(n V_p) in p log h_Q at each direction."""
+        a = self.p * log_hq + self._base
+        lse = logsumexp(a)
+        log_vp = lse - math.log(self.n)
+        return log_objective(self.n, self.p, log_vp, log_polar_volume), np.exp(a - lse)
 
     def log_objective_body(self, Q):
         hq = Q.support(self.u)
@@ -115,6 +134,22 @@ class EllipsoidFamily:
         log_pv = math.log(unit_ball_volume(self.dim)) - float(np.sum(x[: self.dim]))
         return log_hq, log_pv
 
+    def log_objective_and_gradient(self, x, ev):
+        """The log objective at x and its gradient in x.  With w_i = L^T u_i,
+        s_i = |w_i|^2 and softmax weights pi, d lj / dL is
+        (n p / (n+p)) sum_i pi_i u_i w_i^T / s_i; the log-diagonal adds the
+        factor e^{x_d} and the polar term -p / (n+p)."""
+        n, p = self.dim, ev.p
+        L = self.matrix(x)
+        w = ev.u @ L
+        s = np.einsum("ij,ij->i", w, w)
+        log_pv = math.log(unit_ball_volume(n)) - float(np.sum(x[:n]))
+        lj, pi = ev.log_objective_and_weights(0.5 * np.log(s), log_pv)
+        G = (n * p / (n + p)) * ((ev.u * (pi / s)[:, None]).T @ w)
+        grad = np.concatenate([G[self._diag_idx, self._diag_idx] * np.exp(x[:n]) - p / (n + p),
+                               G[self._rows, self._cols]])
+        return lj, grad
+
     def build(self, x):
         return Ellipsoid(self.matrix(x))
 
@@ -143,9 +178,9 @@ class PolytopeSupportFamily:
     def build(self, x):
         return HPolytope(self.normals, self.h0 * np.exp(x))
 
-    def evaluate(self, x, u):
-        """One dual hull yields both the vertices of Q (facet planes of
-        conv{u_i/h_i}) and the polar volume (the hull's own measure)."""
+    def _supports(self, x, u):
+        """h_Q at each direction u_j, the dual hull of u_i / h_i (Q polar) and,
+        per direction, the hull facet (vertex of Q) that attains h_Q(u_j)."""
         h = self.h0 * np.exp(x)
         try:
             hull = ConvexHull(self.normals / h[:, None])
@@ -155,8 +190,35 @@ class PolytopeSupportFamily:
         if np.any(b <= 1e-12):
             raise DomainError("candidate is unbounded")
         verts = hull.equations[:, :-1] / b[:, None]
-        hq = np.max(u @ verts.T, axis=1)
+        scores = u @ verts.T
+        attained = np.argmax(scores, axis=1)
+        return scores[np.arange(len(u)), attained], hull, attained
+
+    def evaluate(self, x, u):
+        """One dual hull yields both the vertices of Q (facet planes of
+        conv{u_i/h_i}) and the polar volume (the hull's own measure)."""
+        hq, hull, _ = self._supports(x, u)
         return np.log(hq), math.log(hull.volume)
+
+    def log_objective_and_gradient(self, x, ev):
+        """The log objective at x and its gradient in x.  The vertex v of Q
+        that attains h_Q(u_j) solves <u_i, v> = h_i over the vertices i of
+        its dual-hull facet S, so d h_Q(u_j) / d h_S = N_S^{-T} u_j.  Scaling
+        vertex j of the dual hull scales the determinants of its cone
+        simplices s, so d log|Q polar| / dx_j = -sum of vol_s / vol."""
+        n, p = self.dim, ev.p
+        hq, hull, attained = self._supports(x, ev.u)
+        vol = hull.volume
+        lj, pi = ev.log_objective_and_weights(np.log(hq), math.log(vol))
+        S = hull.simplices[attained]
+        dual = np.linalg.solve(np.swapaxes(self.normals[S], 1, 2), ev.u[:, :, None])[:, :, 0]
+        h = self.h0 * np.exp(x)
+        d_log_vp = np.bincount(S.ravel(), weights=((p * pi / hq)[:, None] * dual * h[S]).ravel(),
+                               minlength=self.n_params)
+        cone_vols = np.abs(np.linalg.det(hull.points[hull.simplices])) / math.factorial(n)
+        d_log_pv = -np.bincount(hull.simplices.ravel(), weights=np.repeat(cone_vols, n),
+                                minlength=self.n_params) / vol
+        return lj, (n * d_log_vp + p * d_log_pv) / (n + p)
 
 
 @dataclass(eq=False)
@@ -202,8 +264,8 @@ def estimate_gp(K: ConvexBody, p: float, restarts: int = 8, seed: int = 0,
     order."""
     n = K.dim
     _guard_order(p, n)
-    if restarts < 0:
-        raise InputError(f"restarts must be non-negative, got {restarts}")
+    _count(restarts, "restarts")
+    _count(seed, "seed")
     if isinstance(K, _Polytope) and n not in (2, 3):
         raise DomainError("polytope estimation requires dimension 2 or 3")
 
@@ -236,31 +298,17 @@ def estimate_gp(K: ConvexBody, p: float, restarts: int = 8, seed: int = 0,
         rng = np.random.default_rng(np.random.SeedSequence([seed, fam_idx]))
         starts = fam.initial_points(K, restarts, rng)
         for ridx, x0 in enumerate(starts):
-            state = {"grew": False}
-
-            def objective(x):
-                if np.max(np.abs(x)) > _CHART_BOUND:
-                    return np.inf
-                with np.errstate(all="ignore"):
-                    try:
-                        log_hq, log_pv = fam.evaluate(x, ev.u)
-                        lj = ev.log_objective(log_hq, log_pv)
-                    except (DomainError, InputError, FloatingPointError):
-                        return np.inf
-                if not np.isfinite(lj):
-                    return np.inf
-                if sign < 0 and lj > log_growth_cap:
-                    state["grew"] = True
-                return sign * lj
-
-            res = minimize(objective, x0, method="Nelder-Mead",
-                           options={"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-9})
+            if p > 0:
+                res = _descend(fam, ev, x0, maxiter)
+                fun = log_j = _witness_log_objective(fam, ev, res.x)
+            else:
+                res, grew = _ascend(fam, ev, x0, maxiter, log_growth_cap)
+                log_j, fun = -res.fun, res.fun
+                suspected = suspected or grew
             trace.append({"family": fam.name, "restart": ridx,
-                          "fun": float(res.fun), "nit": int(res.nit), "nfev": int(res.nfev)})
-            if state["grew"]:
-                suspected = True
-            if np.isfinite(res.fun):
-                best_family.append((sign * res.fun, fam, np.asarray(res.x)))
+                          "fun": float(fun), "nit": int(res.nit), "nfev": int(res.nfev)})
+            if np.isfinite(fun):
+                best_family.append((log_j, fam, np.asarray(res.x)))
 
     best_log, best_body = min((log_jk, K), (log_jb, unit), key=lambda c: sign * c[0])
     for log_j, fam, x in best_family:
@@ -278,6 +326,61 @@ def estimate_gp(K: ConvexBody, p: float, restarts: int = 8, seed: int = 0,
         trace=trace,
         suspected_unbounded=suspected,
     )
+
+
+def _witness_log_objective(fam, ev, x):
+    """The log objective of the body fam.build(x), which an estimate reports
+    as its witness; inf where there is none.  It can differ from the chart
+    value in the last bits, or, where facets of a polytope candidate nearly
+    meet in one vertex, by the merge of its nearly coplanar dual faces."""
+    with np.errstate(all="ignore"):
+        try:
+            lj = ev.log_objective_body(fam.build(x))
+        except (DomainError, InputError, FloatingPointError):
+            return np.inf
+    return lj if np.isfinite(lj) else np.inf
+
+
+def _descend(fam, ev, x0, maxiter):
+    """One L-BFGS-B restart on the family's exact-gradient log objective,
+    inside the chart box."""
+    def fun_and_grad(x):
+        with np.errstate(all="ignore"):
+            try:
+                lj, grad = fam.log_objective_and_gradient(x, ev)
+            except (DomainError, InputError, FloatingPointError, np.linalg.LinAlgError):
+                return np.inf, np.zeros_like(x)
+        if not (np.isfinite(lj) and np.all(np.isfinite(grad))):
+            return np.inf, np.zeros_like(x)
+        return lj, grad
+
+    return minimize(fun_and_grad, x0, jac=True, method="L-BFGS-B",
+                    bounds=[(-_CHART_BOUND, _CHART_BOUND)] * len(x0),
+                    options={"maxiter": maxiter, **_DESCENT_OPTIONS})
+
+
+def _ascend(fam, ev, x0, maxiter, log_growth_cap):
+    """One Nelder-Mead restart that maximizes the log objective; also says
+    whether it passed the growth cap."""
+    grew = False
+
+    def objective(x):
+        nonlocal grew
+        if np.max(np.abs(x)) > _CHART_BOUND:
+            return np.inf
+        with np.errstate(all="ignore"):
+            try:
+                lj = ev.log_objective(*fam.evaluate(x, ev.u))
+            except (DomainError, InputError, FloatingPointError):
+                return np.inf
+        if not np.isfinite(lj):
+            return np.inf
+        grew = grew or lj > log_growth_cap
+        return -lj
+
+    res = minimize(objective, x0, method="Nelder-Mead",
+                   options={"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-9})
+    return res, grew
 
 
 def gp_ball_shifted(z0, r: float, p: float, resolution: int = 4096) -> float:

@@ -33,6 +33,7 @@ from .bodies import (
     VPolytope,
     _FourierPolar,
     _Polytope,
+    _count,
     ball,
     body_from_json,
     body_to_json,
@@ -86,8 +87,12 @@ class HarnessConfig:
     checks: tuple = field(default_factory=lambda: tuple(_CHECKS))
 
     def __post_init__(self):
+        for name in ("seed", "n_random", "mahler_count", "grid_resolution", "restarts"):
+            setattr(self, name, _count(getattr(self, name), name))
         self.dims, self.p_grid, self.checks = (
             tuple(self.dims), tuple(self.p_grid), tuple(self.checks))
+        if not self.dims:
+            raise InputError("dims must not be empty")
         # given tolerances override the defaults key by key
         self.tolerances = {**_DEFAULT_TOLERANCES, **self.tolerances}
         for key, value in self.tolerances.items():
@@ -101,8 +106,6 @@ class HarnessConfig:
             raise InputError("dims must be a subset of {2, 3}")
         if self.grid_resolution < 8:
             raise InputError("grid_resolution must be at least 8")
-        if not isinstance(self.restarts, int) or self.restarts < 0:
-            raise InputError("restarts must be a non-negative integer")
         if not all(math.isfinite(p) for p in self.p_grid):
             raise InputError("p grid orders must be finite numbers")
         for d in self.dims:

@@ -972,3 +972,9 @@ def test_kept_polar_is_not_an_attribute_of_the_body():
     F.polar()
     assert vars(F).keys() == before.keys()
     assert json.dumps(F.to_json()) == json.dumps(FourierBody2D(F.a, F.b).to_json())
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, False])
+def test_random_body_rejects_a_seed_that_is_not_a_non_negative_int(seed):
+    with pytest.raises(InputError, match="seed"):
+        random_body("ellipsoid", 2, seed=seed)

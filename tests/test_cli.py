@@ -312,3 +312,34 @@ def test_compute_on_a_fourier_body_makes_four_trig_passes(tmp_path, calls):
                  "--p=-4,-1.5,-0.5,0,1,2", "--out", str(tmp_path / "out.json")]) == 0
     # the convexity check, the polar's radial samples, then f_K and h_K on the grid
     assert trig == [2048, 4096, 4096, 4096]
+
+
+@pytest.mark.parametrize("argv", [["estimate", "--p", "1", "--seed", "-1"],
+                                  ["generate", "--kind", "ellipsoid", "--n", "2",
+                                   "--seed", "-1"]],
+                         ids=["estimate", "generate"])
+def test_negative_seed_is_an_input_error(ball_file, capsys, argv):
+    if argv[0] == "estimate":
+        argv = argv[:1] + ["--body", ball_file] + argv[1:]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error:") and "seed" in lines[0]
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"n_random": 1.5}, "n_random"),
+    ({"grid_resolution": 64.5}, "grid_resolution"), ({"n_random": -1}, "n_random"),
+    ({"mahler_count": -5}, "mahler_count"), ({"dims": []}, "dims")],
+    ids=["seed-negative", "seed-float", "n_random-float", "grid_resolution-float",
+         "n_random-negative", "mahler_count-negative", "dims-empty"])
+def test_verify_rejects_malformed_integer_fields(tmp_path, capsys, config, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and not out.exists()
+    assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]

@@ -26,6 +26,7 @@ from geominima import (
     random_body,
     unit_ball_volume,
 )
+from geominima.harness import HarnessConfig, suite_bodies
 
 TWO_PI = 2 * math.pi
 
@@ -334,3 +335,158 @@ def test_estimate_rejects_negative_restarts():
     with pytest.raises(InputError, match="restarts"):
         estimate_gp(ball(2), 1.0, restarts=-1)
     assert estimate_gp(ball(2), 1.0, restarts=0).restarts_used == 0
+
+
+@pytest.mark.parametrize("seed", [-3, 1.5, True, "0"])
+def test_estimate_rejects_a_seed_that_is_not_a_non_negative_int(seed):
+    with pytest.raises(InputError, match="seed"):
+        estimate_gp(ball(2), 1.0, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# L-BFGS-B on exact gradients for p > 0, Nelder-Mead for p < 0
+# ---------------------------------------------------------------------------
+
+def _small_hull(dim):
+    # 8 facets in 2-D and 10 in 3-D, under the 12-facet cap of the support family
+    return random_body("polytope-hull", dim, size=7, seed=4) if dim == 3 else \
+        random_body("polytope-hull", 2, seed=4)
+
+
+def _family_cases(dim, p, seed):
+    """(family, evaluator, random chart point) for both families."""
+    rng = np.random.default_rng(seed)
+    K = _small_hull(dim)
+    E = random_body("ellipsoid", dim, seed=2)
+    g = default_grid(dim, 512)
+    ell = geominimal.EllipsoidFamily(dim)
+    sup = geominimal.PolytopeSupportFamily(K)
+    return [(ell, geominimal._Evaluator(E, p, g), rng.normal(0.0, 0.4, ell.n_params)),
+            (ell, geominimal._Evaluator(K, p, g), rng.normal(0.0, 0.4, ell.n_params)),
+            (sup, geominimal._Evaluator(K, p, g), rng.normal(0.0, 0.4, sup.n_params))]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_family_gradients_match_central_differences(dim, p):
+    step = 1e-6
+    for fam, ev, x in _family_cases(dim, p, seed=int(10 * p) + dim):
+        _, grad = fam.log_objective_and_gradient(x, ev)
+        central = [(fam.log_objective_and_gradient(x + step * e, ev)[0]
+                    - fam.log_objective_and_gradient(x - step * e, ev)[0]) / (2 * step)
+                   for e in np.eye(fam.n_params)]
+        np.testing.assert_allclose(grad, central, rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_descended_value_is_the_objective_evaluate_gives(dim):
+    # both families descend the objective itself, not a stand-in for it
+    for fam, ev, x in _family_cases(dim, 1.0, seed=dim):
+        lj, _ = fam.log_objective_and_gradient(x, ev)
+        assert lj == ev.log_objective(*fam.evaluate(x, ev.u))
+        assert lj == pytest.approx(math.log(gp_objective(ev.K, fam.build(x), 1.0,
+                                                         default_grid(dim, 512))), rel=1e-12)
+
+
+def test_support_family_gradient_past_an_inactive_facet():
+    # facet 1 pushed out no longer touches Q: its offset has no effect, and
+    # the other offsets reach h_Q(u_1) through the vertex that attains it
+    K = _small_hull(2)
+    fam = geominimal.PolytopeSupportFamily(K)
+    ev = geominimal._Evaluator(K, 1.0, None)
+    x = np.zeros(fam.n_params)
+    x[1] = 1.0
+    log_hq, _ = fam.evaluate(x, ev.u)
+    assert log_hq[1] < math.log(fam.h0[1]) + x[1] - 0.1
+    _, grad = fam.log_objective_and_gradient(x, ev)
+    assert grad[1] == 0.0
+    step = 1e-6
+    central = [(fam.log_objective_and_gradient(x + step * e, ev)[0]
+                - fam.log_objective_and_gradient(x - step * e, ev)[0]) / (2 * step)
+               for e in np.eye(fam.n_params)]
+    np.testing.assert_allclose(grad, central, rtol=0, atol=1e-7)
+
+
+def _suite_body(dim, name, polar=False):
+    K = suite_bodies(HarnessConfig(), dim)[name]
+    return K.polar() if polar else K
+
+
+def _suite_estimate(K, p):
+    # the default suite's call: restarts 2, seed 0, maxiter 250, 2048 nodes
+    return estimate_gp(K, p, restarts=2, seed=0, maxiter=250,
+                       grid=default_grid(K.dim, 2048))
+
+
+# (dim, body, polar, p, value at the Nelder-Mead estimator) for p > 0
+_NELDER_MEAD_VALUES = [
+    (3, "random-polytope-hull-3d-0", True, 2.0, 11.848607711115225),   # 10 facets
+    (3, "random-polytope-hull-3d-1", True, 0.5, 15.553019998406986),   # 10 facets
+    (2, "random-polytope-hull-2d-1", False, 1.0, 6.5366475022443815),
+    (2, "square", False, 0.5, 6.964404506368992),
+    (3, "random-shifted-ball-3d-1", False, 2.0, 15.529957075767731),
+    (2, "random-fourier2d-2d-1", False, 0.5, 6.263034979531912),
+]
+
+
+@pytest.mark.parametrize("dim, name, polar, p, before", _NELDER_MEAD_VALUES)
+def test_descent_is_no_worse_than_nelder_mead_on_suite_bodies(dim, name, polar, p, before):
+    est = _suite_estimate(_suite_body(dim, name, polar), p)
+    assert est.value <= before * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("dim, name, p", [(3, "random-polytope-hull-3d-0", 2.0),
+                                          (2, "random-polytope-hull-2d-1", 1.0)])
+def test_support_family_winner_reports_its_exact_objective(dim, name, p):
+    K = _suite_body(dim, name, polar=dim == 3)
+    assert K.facet_data()[0].shape[0] <= 12
+    est = _suite_estimate(K, p)
+    assert isinstance(est.witness, HPolytope)
+    assert est.value < est.objective_at_K
+    assert est.value == pytest.approx(gp_objective(K, est.witness, p), rel=1e-12)
+
+
+# p < 0 keeps Nelder-Mead: value, trace and flag as the estimator had them
+_SUPREMUM_RUNS = [
+    (2, "square", -3.0, 10832452519289.594, True, [
+        {"family": "ellipsoid", "restart": 0, "fun": -26.867370597445152, "nit": 250, "nfev": 480},
+        {"family": "ellipsoid", "restart": 1, "fun": -30.013567607378896, "nit": 250, "nfev": 464},
+        {"family": "polytope-support", "restart": 0, "fun": -8.881784197001252e-16,
+         "nit": 74, "nfev": 170},
+        {"family": "polytope-support", "restart": 1, "fun": -1.1102230246251565e-15,
+         "nit": 152, "nfev": 276}]),
+    (2, "random-polytope-hull-2d-1", -4.0, 2196745255313.5422, False, [
+        {"family": "ellipsoid", "restart": 0, "fun": -28.417997951453657, "nit": 250, "nfev": 489},
+        {"family": "ellipsoid", "restart": 1, "fun": -19.058168142685787, "nit": 250, "nfev": 480},
+        {"family": "polytope-support", "restart": 0, "fun": -1.0255249707075276,
+         "nit": 250, "nfev": 360},
+        {"family": "polytope-support", "restart": 1, "fun": -1.0052647918436626,
+         "nit": 250, "nfev": 363}]),
+    (3, "random-shifted-ball-3d-1", -1.0, 46.943923390085146, False, [
+        {"family": "ellipsoid", "restart": 0, "fun": -3.848703538174254, "nit": 250, "nfev": 393},
+        {"family": "ellipsoid", "restart": 1, "fun": -3.848953770016609, "nit": 250, "nfev": 387}]),
+]
+
+
+@pytest.mark.parametrize("dim, name, p, value, flag, trace", _SUPREMUM_RUNS)
+def test_supremum_side_keeps_nelder_mead(dim, name, p, value, flag, trace):
+    est = _suite_estimate(_suite_body(dim, name), p)
+    assert est.value == value
+    assert est.suspected_unbounded is flag
+    assert est.trace == trace
+
+
+@pytest.mark.parametrize("K, p", [(square(), 1.0), (_small_hull(3), 0.5),
+                                  (Ellipsoid([[1.5, 0.3], [0.0, 0.7]]), 2.0)],
+                         ids=["square", "hull3", "ellipse"])
+def test_descent_trace_keeps_the_restart_entry(K, p):
+    # the benchmark tracer reads nit >= maxiter as a restart at the cap, and nfev
+    maxiter = 30
+    est = estimate_gp(K, p, restarts=3, seed=1, maxiter=maxiter)
+    entries = [e for e in est.trace if "restart" in e]
+    assert len(entries) == 3 * (2 if K.dim == 3 or isinstance(K, HPolytope) else 1)
+    for entry in entries:
+        assert set(entry) == {"family", "restart", "fun", "nit", "nfev"}
+        assert isinstance(entry["nit"], int) and 0 <= entry["nit"] <= maxiter
+        assert isinstance(entry["nfev"], int) and entry["nfev"] >= 1
+        assert isinstance(entry["fun"], float)
