@@ -13,14 +13,17 @@ so B stands for all its dilates.  Every returned value is certified
 one-sided: an upper bound of the infimum for p >= 0, a lower bound of the
 supremum for p < 0.
 
-For p > 0 each restart is a bounded L-BFGS-B descent of the log objective
-on its exact gradient.  In the ellipsoid chart the log objective is a
-log-sum-exp of p log|L^T u| plus -sum(x_diag) for the polar volume.  In the
-polytope family h_Q(u_j) is linear in the offsets of the facets that meet
-at the vertex attaining it, and log|Q polar| is a sum of cone volumes over
-the dual hull.  For p < 0 the restarts stay on Nelder-Mead: gradient ascent
-stops at the first local maximum of the supremum, where Nelder-Mead walks on
-towards the chart box and finds larger values.
+Each restart is a bounded L-BFGS-B run on the exact gradient of the log
+objective, descending for p > 0 and ascending for p < 0.  In the ellipsoid
+chart the log objective is a log-sum-exp of p log|L^T u| plus -sum(x_diag)
+for the polar volume.  In the polytope family h_Q(u_j) is linear in the
+offsets of the facets that meet at the vertex attaining it, and log|Q polar|
+is a sum of cone volumes over the dual hull.
+
+For polytope K and p < 0 the supremum is +infinity and the witness is a thin
+centered ellipsoid (_thin_ellipsoid).  On a grid a smooth K's measure is atomic
+too, so its family witnesses count only where a grid with four times the nodes
+gives the same objective to the quadrature tolerance.
 """
 
 import math
@@ -42,19 +45,20 @@ from .bodies import (
 )
 from .errors import DomainError, InputError
 from .functionals import (
+    _finite_order,
     _guard_order,
     _integration_pieces,
     _log_values,
     log_objective,
     logsumexp,
 )
-from .grids import SphericalGrid, default_grid, unit_ball_volume
+from .grids import SphericalGrid, default_grid, make_grid, unit_ball_volume
 
-GROWTH_LIMIT = 1e12          # objective growth treated as a diverging supremum
 _TIE_TOL = 1e-12
 _MAX_SUPPORT_FAMILY_FACETS = 12
 _CHART_BOUND = 8.0           # log-parameter box; e^8 : 1 is far beyond desk scale
-_DESCENT_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10}   # L-BFGS-B stopping rule, p > 0
+_DESCENT_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10}   # L-BFGS-B stopping rule
+_WITNESS_TOL = 1e-6          # log-objective agreement on the finer grid (quadrature tolerance)
 
 
 class _Evaluator:
@@ -68,11 +72,8 @@ class _Evaluator:
         self.u, self.log_hk, self.log_mass = _integration_pieces(K, grid)
         self._base = (1.0 - p) * self.log_hk + self.log_mass
 
-    def log_n_vp(self, log_hq):
-        return float(logsumexp(self.p * log_hq + self._base))
-
     def log_objective(self, log_hq, log_polar_volume):
-        log_vp = self.log_n_vp(log_hq) - math.log(self.n)
+        log_vp = logsumexp(self.p * log_hq + self._base) - math.log(self.n)
         return log_objective(self.n, self.p, log_vp, log_polar_volume)
 
     def log_objective_and_weights(self, log_hq, log_polar_volume):
@@ -93,8 +94,7 @@ def gp_objective(K: ConvexBody, Q: ConvexBody, p: float,
     """n * V_p(K, Q)^{n/(n+p)} * |Q polar|^{p/(n+p)}, combined in log space.
     At Q = K this reduces to n |K|^{n/(n+p)} |K polar|^{p/(n+p)}."""
     _guard_order(p, K.dim)
-    ev = _Evaluator(K, p, grid)
-    return math.exp(ev.log_objective_body(Q))
+    return math.exp(_Evaluator(K, p, grid).log_objective_body(Q))
 
 
 class EllipsoidFamily:
@@ -107,8 +107,7 @@ class EllipsoidFamily:
         self.dim = dim
         self.n_params = dim * (dim + 1) // 2
         self._diag_idx = np.arange(dim)
-        rows, cols = np.tril_indices(dim, k=-1)
-        self._rows, self._cols = rows, cols
+        self._rows, self._cols = np.tril_indices(dim, k=-1)
 
     def matrix(self, x):
         L = np.zeros((self.dim, self.dim))
@@ -163,11 +162,9 @@ class PolytopeSupportFamily:
     def __init__(self, K):
         if not isinstance(K, _Polytope):
             raise InputError("support family requires a polytope")
-        normals, offsets, _ = K.facet_data()
-        self.normals = normals
-        self.h0 = offsets
+        self.normals, self.h0, _ = K.facet_data()
         self.dim = K.dim
-        self.n_params = normals.shape[0]
+        self.n_params = self.normals.shape[0]
 
     def initial_points(self, K, restarts, rng):
         points = [np.zeros(self.n_params)]
@@ -228,7 +225,8 @@ class GpEstimate:
     ``direction`` is "upper" for p >= 0 (the value upper-bounds the
     infimum) and "lower" for p < 0 (the value lower-bounds the supremum).
     ``objective_at_K`` and ``objective_at_B`` are the fixed candidates that
-    cap the estimate by construction."""
+    cap the estimate by construction.  ``suspected_unbounded`` is set, by
+    construction, exactly for polytope K at p < 0: that supremum is infinite."""
 
     p: float
     value: float
@@ -261,11 +259,13 @@ def estimate_gp(K: ConvexBody, p: float, restarts: int = 8, seed: int = 0,
     candidates K and B.  The objective is invariant under Q -> tQ, so no
     dilate of B adds a candidate.  Deterministic for a fixed seed; restart
     seeds are derived by counter so results do not depend on evaluation
-    order."""
+    order.  A polytope at p < 0 gets a thin centered ellipsoid with no search;
+    being centered, it is admissible also where Q must be origin-symmetric."""
     n = K.dim
     _guard_order(p, n)
     _count(restarts, "restarts")
     _count(seed, "seed")
+    _count(maxiter, "maxiter")
     if isinstance(K, _Polytope) and n not in (2, 3):
         raise DomainError("polytope estimation requires dimension 2 or 3")
 
@@ -275,22 +275,32 @@ def estimate_gp(K: ConvexBody, p: float, restarts: int = 8, seed: int = 0,
                           objective_at_K=value, objective_at_B=value,
                           restarts_used=0, trace=[{"note": "p = 0 collapses the objective"}])
 
+    if grid is None:
+        grid = default_grid(n)
     ev = _Evaluator(K, p, grid)
     sign = 1.0 if p > 0 else -1.0
-    direction = "upper" if p > 0 else "lower"
 
     unit = ball(n)
     log_jk = ev.log_objective_body(K)
     log_jb = ev.log_objective_body(unit)
+    best_log, best_body = min((log_jk, K), (log_jb, unit), key=lambda c: sign * c[0])
+    fixed = {"p": p, "direction": "upper" if p > 0 else "lower",
+             "objective_at_K": math.exp(log_jk), "objective_at_B": math.exp(log_jb)}
+
+    if isinstance(K, _Polytope) and p < 0:
+        Q = _thin_ellipsoid(ev)
+        best_log, best_body = max((best_log, best_body), (ev.log_objective_body(Q), Q),
+                                  key=lambda c: c[0])
+        return GpEstimate(value=math.exp(best_log), witness=best_body, restarts_used=0,
+                          trace=[{"note": "polytope at p < 0: the supremum is infinite"}],
+                          suspected_unbounded=True, **fixed)
+
     families = [EllipsoidFamily(n)]
     if isinstance(K, _Polytope):
         families.append(PolytopeSupportFamily(K))
 
     trace = []
-    suspected = False
-    log_growth_cap = log_jk + math.log(GROWTH_LIMIT)
-
-    best_family = []   # (log_j, family, params) per completed restart
+    candidates = []   # (log_j, family, restart, params) per completed restart
     for fam_idx, fam in enumerate(families):
         if isinstance(fam, PolytopeSupportFamily) and fam.n_params > _MAX_SUPPORT_FAMILY_FACETS:
             trace.append({"family": fam.name, "skipped": "not applicable"})
@@ -298,34 +308,44 @@ def estimate_gp(K: ConvexBody, p: float, restarts: int = 8, seed: int = 0,
         rng = np.random.default_rng(np.random.SeedSequence([seed, fam_idx]))
         starts = fam.initial_points(K, restarts, rng)
         for ridx, x0 in enumerate(starts):
-            if p > 0:
-                res = _descend(fam, ev, x0, maxiter)
-                fun = log_j = _witness_log_objective(fam, ev, res.x)
-            else:
-                res, grew = _ascend(fam, ev, x0, maxiter, log_growth_cap)
-                log_j, fun = -res.fun, res.fun
-                suspected = suspected or grew
+            res = _descend(fam, ev, x0, maxiter, sign)
+            log_j = _witness_log_objective(fam, ev, res.x)
             trace.append({"family": fam.name, "restart": ridx,
-                          "fun": float(fun), "nit": int(res.nit), "nfev": int(res.nfev)})
-            if np.isfinite(fun):
-                best_family.append((log_j, fam, np.asarray(res.x)))
+                          "fun": float(log_j), "nit": int(res.nit), "nfev": int(res.nfev)})
+            if np.isfinite(log_j):
+                candidates.append((log_j, fam, ridx, res.x))
 
-    best_log, best_body = min((log_jk, K), (log_jb, unit), key=lambda c: sign * c[0])
-    for log_j, fam, x in best_family:
-        if sign * log_j < sign * best_log - _TIE_TOL:
-            best_log, best_body = log_j, fam.build(x)
+    fine = None
+    for log_j, fam, ridx, x in candidates:
+        if sign * log_j >= sign * best_log - _TIE_TOL:
+            continue
+        # a polytope's atoms are exact; a smooth K's grid is checked on a finer one
+        if not isinstance(K, _Polytope):
+            fine = fine or _Evaluator(K, p, make_grid(n, 4 * grid.n_nodes))
+            log_fine = _witness_log_objective(fam, fine, x)
+            if not abs(log_fine - log_j) <= _WITNESS_TOL:
+                trace.append({"family": fam.name, "rejected": ridx,
+                              "fun": float(log_j), "fine_fun": float(log_fine)})
+                continue
+        best_log, best_body = log_j, fam.build(x)
 
-    return GpEstimate(
-        p=p,
-        value=math.exp(best_log),
-        direction=direction,
-        witness=best_body,
-        objective_at_K=math.exp(log_jk),
-        objective_at_B=math.exp(log_jb),
-        restarts_used=restarts,
-        trace=trace,
-        suspected_unbounded=suspected,
-    )
+    return GpEstimate(value=math.exp(best_log), witness=best_body, restarts_used=restarts,
+                      trace=trace, **fixed)
+
+
+def _thin_ellipsoid(ev, eps=1e-6):
+    """Q = (I - (1 - eps) v v^T) B for polytope K at p < 0, with |Q polar| =
+    omega_n / eps.  For -n < p < 0 the short axis v is the facet normal u_j
+    with the largest atom a_j h_K(u_j)^{1-p}; h_Q(u_j) = eps, and the
+    objective grows like eps^{p(n-1)/(n+p)}.  For p < -n, v is the node of a
+    512-node grid farthest from every facet normal and its opposite; h_Q
+    stays bounded below at the normals, and it grows like eps^{-p/(n+p)}."""
+    if ev.p > -ev.n:
+        v = ev.u[np.argmax(ev._base)]
+    else:
+        nodes = default_grid(ev.n, 512).nodes
+        v = nodes[np.argmin(np.max(np.abs(nodes @ ev.u.T), axis=1))]
+    return Ellipsoid(np.eye(ev.n) - (1.0 - eps) * np.outer(v, v))
 
 
 def _witness_log_objective(fam, ev, x):
@@ -341,9 +361,9 @@ def _witness_log_objective(fam, ev, x):
     return lj if np.isfinite(lj) else np.inf
 
 
-def _descend(fam, ev, x0, maxiter):
-    """One L-BFGS-B restart on the family's exact-gradient log objective,
-    inside the chart box."""
+def _descend(fam, ev, x0, maxiter, sign):
+    """One L-BFGS-B restart on sign times the family's exact-gradient log
+    objective, inside the chart box: a descent for sign 1, an ascent for -1."""
     def fun_and_grad(x):
         with np.errstate(all="ignore"):
             try:
@@ -352,35 +372,11 @@ def _descend(fam, ev, x0, maxiter):
                 return np.inf, np.zeros_like(x)
         if not (np.isfinite(lj) and np.all(np.isfinite(grad))):
             return np.inf, np.zeros_like(x)
-        return lj, grad
+        return sign * lj, sign * grad
 
     return minimize(fun_and_grad, x0, jac=True, method="L-BFGS-B",
                     bounds=[(-_CHART_BOUND, _CHART_BOUND)] * len(x0),
                     options={"maxiter": maxiter, **_DESCENT_OPTIONS})
-
-
-def _ascend(fam, ev, x0, maxiter, log_growth_cap):
-    """One Nelder-Mead restart that maximizes the log objective; also says
-    whether it passed the growth cap."""
-    grew = False
-
-    def objective(x):
-        nonlocal grew
-        if np.max(np.abs(x)) > _CHART_BOUND:
-            return np.inf
-        with np.errstate(all="ignore"):
-            try:
-                lj = ev.log_objective(*fam.evaluate(x, ev.u))
-            except (DomainError, InputError, FloatingPointError):
-                return np.inf
-        if not np.isfinite(lj):
-            return np.inf
-        grew = grew or lj > log_growth_cap
-        return -lj
-
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-9})
-    return res, grew
 
 
 def gp_ball_shifted(z0, r: float, p: float, resolution: int = 4096) -> float:
@@ -401,9 +397,12 @@ def gp_ball_shifted(z0, r: float, p: float, resolution: int = 4096) -> float:
 def lutwak_gp_from_tilde(value: float, p: float, n: int) -> float:
     """Convert the extended functional to the classical normalization via
     value^{n+p} = (n omega_n)^p * converted^n, valid for p >= 1."""
+    _finite_order(p)
     if p < 1.0 - 1e-12:
         raise InputError("conversion is defined only for p >= 1")
-    if value <= 0:
-        raise InputError("value must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise InputError(f"value must be a positive finite number, got {value!r}")
+    if _count(n, "dimension") < 1:
+        raise InputError("dimension must be at least 1")
     log_g = ((n + p) * math.log(value) - p * math.log(n * unit_ball_volume(n))) / n
     return math.exp(log_g)

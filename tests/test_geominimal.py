@@ -202,16 +202,6 @@ def test_estimate_excluded_order_and_bad_dim():
         estimate_gp(ball(3), -3.0000004)
 
 
-def test_suspected_unbounded_flag(monkeypatch):
-    # the supremum over increasingly eccentric candidates diverges for
-    # polytopes at negative orders; a tiny growth limit must trip the flag
-    monkeypatch.setattr(geominimal, "GROWTH_LIMIT", 1.5)
-    est = estimate_gp(square(), -1.0, restarts=2, maxiter=600)
-    assert est.suspected_unbounded
-    assert est.direction == "lower"
-    assert est.value >= est.objective_at_K * (1 - 1e-12)
-
-
 def test_estimate_json_fields():
     est = estimate_gp(ball(2), 1.0, restarts=2)
     blob = est.to_json()
@@ -323,6 +313,15 @@ def test_lutwak_rejects_small_order():
         lutwak_gp_from_tilde(5.0, 0.5, 2)
 
 
+@pytest.mark.parametrize("value, p, n", [
+    (math.nan, 1.0, 2), (math.inf, 1.0, 2), (-math.inf, 1.0, 2),
+    (5.0, math.nan, 2), (5.0, math.inf, 2),
+    (5.0, 1.0, 0), (5.0, 1.0, -1), (5.0, 1.0, 2.5)])
+def test_lutwak_rejects_non_finite_input_and_bad_dimensions(value, p, n):
+    with pytest.raises(InputError):
+        lutwak_gp_from_tilde(value, p, n)
+
+
 @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
 def test_estimate_rejects_non_finite_orders(p):
     with pytest.raises(InputError, match="not a finite number"):
@@ -343,8 +342,14 @@ def test_estimate_rejects_a_seed_that_is_not_a_non_negative_int(seed):
         estimate_gp(ball(2), 1.0, seed=seed)
 
 
+@pytest.mark.parametrize("maxiter", [-1, 1.5, True, "400"])
+def test_estimate_rejects_a_maxiter_that_is_not_a_non_negative_int(maxiter):
+    with pytest.raises(InputError, match="maxiter"):
+        estimate_gp(ball(2), 1.0, maxiter=maxiter)
+
+
 # ---------------------------------------------------------------------------
-# L-BFGS-B on exact gradients for p > 0, Nelder-Mead for p < 0
+# L-BFGS-B on exact gradients: descent for p > 0, ascent for smooth K at p < 0
 # ---------------------------------------------------------------------------
 
 def _small_hull(dim):
@@ -367,10 +372,10 @@ def _family_cases(dim, p, seed):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, -1.0, -4.0])
 def test_family_gradients_match_central_differences(dim, p):
     step = 1e-6
-    for fam, ev, x in _family_cases(dim, p, seed=int(10 * p) + dim):
+    for fam, ev, x in _family_cases(dim, p, seed=abs(int(10 * p)) + dim):
         _, grad = fam.log_objective_and_gradient(x, ev)
         central = [(fam.log_objective_and_gradient(x + step * e, ev)[0]
                     - fam.log_objective_and_gradient(x - step * e, ev)[0]) / (2 * step)
@@ -446,34 +451,67 @@ def test_support_family_winner_reports_its_exact_objective(dim, name, p):
     assert est.value == pytest.approx(gp_objective(K, est.witness, p), rel=1e-12)
 
 
-# p < 0 keeps Nelder-Mead: value, trace and flag as the estimator had them
-_SUPREMUM_RUNS = [
-    (2, "square", -3.0, 10832452519289.594, True, [
-        {"family": "ellipsoid", "restart": 0, "fun": -26.867370597445152, "nit": 250, "nfev": 480},
-        {"family": "ellipsoid", "restart": 1, "fun": -30.013567607378896, "nit": 250, "nfev": 464},
-        {"family": "polytope-support", "restart": 0, "fun": -8.881784197001252e-16,
-         "nit": 74, "nfev": 170},
-        {"family": "polytope-support", "restart": 1, "fun": -1.1102230246251565e-15,
-         "nit": 152, "nfev": 276}]),
-    (2, "random-polytope-hull-2d-1", -4.0, 2196745255313.5422, False, [
-        {"family": "ellipsoid", "restart": 0, "fun": -28.417997951453657, "nit": 250, "nfev": 489},
-        {"family": "ellipsoid", "restart": 1, "fun": -19.058168142685787, "nit": 250, "nfev": 480},
-        {"family": "polytope-support", "restart": 0, "fun": -1.0255249707075276,
-         "nit": 250, "nfev": 360},
-        {"family": "polytope-support", "restart": 1, "fun": -1.0052647918436626,
-         "nit": 250, "nfev": 363}]),
-    (3, "random-shifted-ball-3d-1", -1.0, 46.943923390085146, False, [
-        {"family": "ellipsoid", "restart": 0, "fun": -3.848703538174254, "nit": 250, "nfev": 393},
-        {"family": "ellipsoid", "restart": 1, "fun": -3.848953770016609, "nit": 250, "nfev": 387}]),
-]
+# ---------------------------------------------------------------------------
+# the supremum side, p < 0
+# ---------------------------------------------------------------------------
+
+def _triangle():
+    return suite_bodies(HarnessConfig(), 2)["triangle"]
 
 
-@pytest.mark.parametrize("dim, name, p, value, flag, trace", _SUPREMUM_RUNS)
-def test_supremum_side_keeps_nelder_mead(dim, name, p, value, flag, trace):
-    est = _suite_estimate(_suite_body(dim, name), p)
-    assert est.value == value
-    assert est.suspected_unbounded is flag
-    assert est.trace == trace
+def _hull3():
+    return random_body("polytope-hull", 3, seed=42)
+
+
+# (body, p, growth rate of the objective in eps along the thin ellipsoids):
+# eps^{p(n-1)/(n+p)} for -n < p < 0, eps^{-p/(n+p)} for p < -n
+_UNBOUNDED = [(square, -1.0, -1.0), (_triangle, -4.0, -2.0), (_triangle, -3.0, -3.0),
+              (_hull3, -1.0, -1.0), (_hull3, -4.0, -4.0)]
+_UNBOUNDED_IDS = ["square-1", "triangle-4", "triangle-3", "hull3-1", "hull3-4"]
+
+
+@pytest.mark.parametrize("make, p, rate", _UNBOUNDED, ids=_UNBOUNDED_IDS)
+def test_polytope_supremum_is_a_thin_ellipsoid_witness(make, p, rate):
+    K = make()
+    est = estimate_gp(K, p, restarts=2)
+    assert isinstance(est.witness, Ellipsoid) and not est.witness.center.any()
+    assert est.value == pytest.approx(gp_objective(K, est.witness, p), rel=1e-12)
+    assert est.suspected_unbounded and est.to_json()["suspected_unbounded"]
+    assert est.restarts_used == 0
+    assert [set(e) for e in est.trace] == [{"note"}]
+    assert est.value >= math.exp(5) * max(est.objective_at_K, est.objective_at_B)
+
+
+@pytest.mark.parametrize("make, p, rate", _UNBOUNDED, ids=_UNBOUNDED_IDS)
+def test_thin_ellipsoid_objective_grows_at_the_predicted_rate(make, p, rate):
+    K = make()
+    ev = geominimal._Evaluator(K, p, None)
+    eps = [1e-2, 1e-4, 1e-6]
+    logs = [math.log(gp_objective(K, geominimal._thin_ellipsoid(ev, e), p)) for e in eps]
+    for i in range(2):
+        slope = (logs[i + 1] - logs[i]) / (math.log(eps[i + 1]) - math.log(eps[i]))
+        assert slope == pytest.approx(rate, abs=0.03)
+
+
+def test_smooth_supremum_keeps_the_nelder_mead_value_as_a_floor():
+    # the value the Nelder-Mead ascent gave in the default suite
+    est = _suite_estimate(_suite_body(3, "random-shifted-ball-3d-1"), -1.0)
+    assert est.value >= 46.943923390085146 * (1 - 1e-12)
+    assert not est.suspected_unbounded
+
+
+def test_ascent_witness_off_the_finer_grid_is_rejected():
+    # on 4050 nodes the ascent finds thin ellipsoids between the nodes with
+    # objectives above e^50; the finer grid rejects them all and K remains
+    K = Ellipsoid(np.diag([10.0, 1.0, 0.1]))
+    est = estimate_gp(K, -4.0)
+    exact = 3 * unit_ball_volume(3)   # n omega_n |det|^{(n-p)/(n+p)}, and det = 1
+    assert math.isfinite(est.value) and est.value < 2 * exact
+    assert est.witness is K
+    rejected = [e for e in est.trace if "rejected" in e]
+    assert rejected and all("restart" not in e for e in rejected)
+    assert all(abs(e["fine_fun"] - e["fun"]) > 1e-6 for e in rejected)
+    assert len([e for e in est.trace if "restart" in e]) == 8
 
 
 @pytest.mark.parametrize("K, p", [(square(), 1.0), (_small_hull(3), 0.5),
