@@ -80,12 +80,6 @@ from .harness import (
     replay_instance,
     run_suite,
 )
-from .measures import (
-    DensitySurfaceMeasure,
-    DiscreteSurfaceMeasure,
-    curvature_values,
-    lp_curvature,
-    surface_measure,
-)
+from .measures import SurfaceMeasure, curvature_values, lp_curvature, surface_measure
 
 __version__ = "0.1.0"

@@ -560,8 +560,8 @@ class FourierBody2D(ConvexBody):
         out = np.sqrt(h ** 2 + hp ** 2)
         return float(out[0]) if scalar else out
 
-    def polar(self, resolution=4096):
-        return self._derived(("polar", resolution), lambda: _FourierPolar(self, resolution))
+    def polar(self):
+        return self._derived("polar", lambda: _FourierPolar(self))
 
     def volume(self):
         # Parseval: area = pi*a0^2 + (pi/2) * sum_k (1 - k^2)(a_k^2 + b_k^2)
@@ -682,14 +682,16 @@ class SampledBody2D(ConvexBody):
 
 
 class _FourierPolar(SampledBody2D):
-    """The polar of a ``FourierBody2D`` on the uniform grid of ``resolution``
+    """The polar of a ``FourierBody2D`` on the uniform grid of ``_NODES``
     nodes.  Its radial samples 1/h of the body come from one trig pass.  Its
     support samples 1/rho of the body need the body's radial solve, so they
     are solved, checked and kept on first read."""
 
-    def __init__(self, body, resolution):
+    _NODES = 4096
+
+    def __init__(self, body):
         self.body = body
-        thetas = 2.0 * math.pi * np.arange(resolution) / resolution
+        thetas = 2.0 * math.pi * np.arange(self._NODES) / self._NODES
         self._set_radial(1.0 / body.support_angle(thetas))
 
     @property

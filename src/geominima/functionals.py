@@ -2,9 +2,9 @@
 affine surface areas, curvature images, and membership tests.
 
 Fractional powers are combined in log space throughout, so exponents far
-from zero and widely spread support values do not overflow.  Integrals are
-exact atom sums whenever the first body is a polytope and quadrature sums
-otherwise.
+from zero and widely spread support values do not overflow.  Every integral
+against S(K, .) is a sum over ``measures.surface_measure``: exact for a
+polytope, a quadrature for a smooth body.
 """
 
 import math
@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, Ellipsoid, _Polytope, ball, has_curvature, is_centered_ellipsoid
+from .bodies import ConvexBody, Ellipsoid, ball, is_centered_ellipsoid
 from .errors import DomainError, InputError, UnsupportedError
-from .grids import SphericalGrid, circle_interp, default_grid, unit_ball_volume
-from .measures import _grid_samples, _log_values
+from .grids import SphericalGrid, circle_interp, unit_ball_volume
+from .measures import _grid_samples, _log_values, surface_measure
 
 EXCLUDED_ORDER_TOL = 1e-6     # band around p = -n where functionals blow up
 
@@ -80,26 +80,13 @@ class StarBody:
         return self.rho[idx]
 
 
-def _integration_pieces(K, grid):
-    """(directions, log h_K there, log measure mass) for the S(K,.) integral."""
-    if isinstance(K, _Polytope):
-        normals, offsets, areas = K.facet_data()
-        return normals, _log_values(offsets, "support values"), np.log(areas)
-    if has_curvature(K):
-        if grid is None:
-            grid = default_grid(K.dim)
-        f, log_h = _grid_samples(K, grid)
-        return grid.nodes, log_h, np.log(grid.weights * f)
-    raise DomainError(f"{type(K).__name__} lacks a computable surface-area measure")
-
-
 def log_n_mixed_volume_p(K: ConvexBody, Q: ConvexBody, p: float,
                          grid: SphericalGrid | None = None) -> float:
     """log of n * V_p(K, Q), from the integral of h_Q^p h_K^{1-p} dS(K, .)."""
     _finite_order(p)
-    u, log_hk, log_mass = _integration_pieces(K, grid)
-    log_hq = _log_values(Q.support(u), "support values")
-    return float(logsumexp(p * log_hq + (1.0 - p) * log_hk + log_mass))
+    sm = surface_measure(K, grid)
+    log_hq = _log_values(Q.support(sm.directions), "support values")
+    return float(logsumexp(p * log_hq + (1.0 - p) * sm.log_support + np.log(sm.masses)))
 
 
 def mixed_volume_p(K: ConvexBody, Q: ConvexBody, p: float,
@@ -116,17 +103,15 @@ def mixed_volume_p_star(K: ConvexBody, L: StarBody, p: float,
     Consistent with ``mixed_volume_p`` when L samples a convex body, via
     rho_L * h_{L polar} = 1."""
     _finite_order(p)
-    if isinstance(K, _Polytope):
-        u, log_hk, log_mass = _integration_pieces(K, None)
-        rho = L.radial_at(u)
+    sm = surface_measure(K, L.grid if grid is None else grid)
+    if sm.grid is None:
+        rho = L.radial_at(sm.directions)
+    elif sm.grid.grid_id != L.grid.grid_id:
+        raise InputError("star body grid does not match the evaluation grid")
     else:
-        eval_grid = grid if grid is not None else L.grid
-        if eval_grid.grid_id != L.grid.grid_id:
-            raise InputError("star body grid does not match the evaluation grid")
-        u, log_hk, log_mass = _integration_pieces(K, eval_grid)
         rho = L.rho
     log_rho = _log_values(rho, "radial values")
-    val = logsumexp(-p * log_rho + (1.0 - p) * log_hk + log_mass)
+    val = logsumexp(-p * log_rho + (1.0 - p) * sm.log_support + np.log(sm.masses))
     return math.exp(val) / K.dim
 
 
@@ -143,11 +128,7 @@ def mahler(K: ConvexBody) -> float:
 def _log_asp(K, p, grid):
     n = K.dim
     _guard_order(p, n)
-    if not has_curvature(K):
-        raise DomainError(f"{type(K).__name__} has no curvature function")
-    if grid is None:
-        grid = default_grid(n)
-    f, log_h = _grid_samples(K, grid)
+    grid, f, log_h = _grid_samples(K, grid)
     log_fp = (1.0 - p) * log_h + np.log(f)
     return grid, float(logsumexp((n / (n + p)) * log_fp + np.log(grid.weights))), log_fp
 
@@ -222,45 +203,38 @@ def curvature_image(K: ConvexBody, p: float, grid: SphericalGrid | None = None) 
 InVpResult = namedtuple("InVpResult", ["member", "witness_support", "witness"])
 
 
-def _uniform_second_derivative(values):
-    """Spectral second derivative of samples on the uniform circle grid."""
-    n = values.shape[0]
-    freqs = np.fft.rfftfreq(n, d=1.0 / n)
-    return np.fft.irfft(np.fft.rfft(values) * -(freqs ** 2), n)
+def _is_support_function(g, grid, tol):
+    """Whether the samples g on the uniform circle grid are a support
+    function: min(g + g'') >= -tol max g, with g'' the spectral second
+    derivative.  Any other grid raises UnsupportedError."""
+    if grid.dim != 2 or grid.kind != "trapezoid":
+        raise UnsupportedError("convexity test needs a planar body on the uniform circle grid")
+    freqs = np.fft.rfftfreq(g.shape[0], d=1.0 / g.shape[0])
+    g2 = np.fft.irfft(np.fft.rfft(g) * -(freqs ** 2), g.shape[0])
+    return bool(np.min(g + g2) >= -tol * np.max(g))
 
 
 def in_vp(K: ConvexBody, p: float, grid: SphericalGrid | None = None,
           tol: float = 1e-8) -> InVpResult:
     """Test whether g = f_p(K, .)^{-1/(n+p)} is a support function, i.e.
     whether the curvature image is convex.  Returns a witness body when the
-    answer comes in closed form (ellipsoids)."""
+    answer comes in closed form (centered ellipsoids); any other body needs
+    the uniform circle grid."""
     n = K.dim
     _guard_order(p, n)
-    if not has_curvature(K):
-        raise DomainError(f"{type(K).__name__} has no curvature function")
     if is_centered_ellipsoid(K):
         scale = abs(np.linalg.det(K.matrix)) ** (-2.0 / (n + p))
         witness = Ellipsoid(scale * K.matrix)
         sup = witness.support(grid.nodes) if grid is not None else None
         return InVpResult(True, sup, witness)
-    if n != 2:
-        raise UnsupportedError("membership test needs dimension 2 or an ellipsoid")
-    if grid is None:
-        grid = default_grid(2)
-    if grid.kind != "trapezoid":
-        raise InputError("membership test needs the uniform circle grid")
-    _, _, log_fp = _log_asp(K, p, grid)
+    grid, _, log_fp = _log_asp(K, p, grid)
     g = np.exp(-log_fp / (n + p))
-    member = bool(np.min(g + _uniform_second_derivative(g)) >= -tol * np.max(g))
-    return InVpResult(member, g, None)
+    return InVpResult(_is_support_function(g, grid, tol), g, None)
 
 
 def star_body_is_convex(L: StarBody, tol: float = 1e-8) -> bool:
     """A planar star body is convex exactly when 1/rho is a support function."""
-    if L.grid.dim != 2 or L.grid.kind != "trapezoid":
-        raise UnsupportedError("convexity test needs the uniform circle grid")
-    g = 1.0 / L.rho
-    return bool(np.min(g + _uniform_second_derivative(g)) >= -tol * np.max(g))
+    return _is_support_function(1.0 / L.rho, L.grid, tol)
 
 
 HolderCheck = namedtuple("HolderCheck", ["margin", "lhs", "rhs"])

@@ -44,15 +44,9 @@ from .bodies import (
     is_centered_ellipsoid,
 )
 from .errors import DomainError, InputError
-from .functionals import (
-    _finite_order,
-    _guard_order,
-    _integration_pieces,
-    _log_values,
-    log_objective,
-    logsumexp,
-)
+from .functionals import _finite_order, _guard_order, log_objective, logsumexp
 from .grids import SphericalGrid, default_grid, make_grid, unit_ball_volume
+from .measures import _log_values, surface_measure
 
 _TIE_TOL = 1e-12
 _MAX_SUPPORT_FAMILY_FACETS = 12
@@ -62,15 +56,17 @@ _WITNESS_TOL = 1e-6          # log-objective agreement on the finer grid (quadra
 
 
 class _Evaluator:
-    """Caches the surface-measure pieces of K so the objective is a single
-    vectorized pass per candidate."""
+    """Caches the surface measure of K, folded with the order, so the
+    objective is a single vectorized pass per candidate.  ``grid`` is the
+    measure's grid, None for a polytope."""
 
     def __init__(self, K, p, grid):
         self.K = K
         self.n = K.dim
         self.p = p
-        self.u, self.log_hk, self.log_mass = _integration_pieces(K, grid)
-        self._base = (1.0 - p) * self.log_hk + self.log_mass
+        sm = surface_measure(K, grid)
+        self.u, self.grid = sm.directions, sm.grid
+        self._base = (1.0 - p) * sm.log_support + np.log(sm.masses)
 
     def log_objective(self, log_hq, log_polar_volume):
         log_vp = logsumexp(self.p * log_hq + self._base) - math.log(self.n)
@@ -275,8 +271,6 @@ def estimate_gp(K: ConvexBody, p: float, restarts: int = 8, seed: int = 0,
                           objective_at_K=value, objective_at_B=value,
                           restarts_used=0, trace=[{"note": "p = 0 collapses the objective"}])
 
-    if grid is None:
-        grid = default_grid(n)
     ev = _Evaluator(K, p, grid)
     sign = 1.0 if p > 0 else -1.0
 
@@ -320,8 +314,8 @@ def estimate_gp(K: ConvexBody, p: float, restarts: int = 8, seed: int = 0,
         if sign * log_j >= sign * best_log - _TIE_TOL:
             continue
         # a polytope's atoms are exact; a smooth K's grid is checked on a finer one
-        if not isinstance(K, _Polytope):
-            fine = fine or _Evaluator(K, p, make_grid(n, 4 * grid.n_nodes))
+        if ev.grid is not None:
+            fine = fine or _Evaluator(K, p, make_grid(n, 4 * ev.grid.n_nodes))
             log_fine = _witness_log_objective(fam, fine, x)
             if not abs(log_fine - log_j) <= _WITNESS_TOL:
                 trace.append({"family": fam.name, "rejected": ridx,

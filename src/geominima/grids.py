@@ -35,8 +35,8 @@ def sphere_area(n: int) -> float:
 class SphericalGrid:
     """Immutable set of quadrature nodes and weights on the sphere.
 
-    ``thetas`` carries the node angles when ``dim == 2`` so that
-    angle-parameterized bodies can be evaluated without atan2 round trips.
+    ``thetas`` carries the node angles of the uniform circle grid, which
+    planar star bodies interpolate on and perturb in.
     """
 
     dim: int

@@ -179,13 +179,13 @@ def suite_bodies(config: HarnessConfig, dim: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _body_key(K: ConvexBody):
-    """Content key: a polytope's sorted vertex rows, a Fourier polar's parent
-    and node count, else its JSON.  A body with no JSON form is its own key;
-    the cache keeps it, so no id is reused."""
+    """Content key: a polytope's sorted vertex rows, a Fourier polar's parent,
+    else its JSON.  A body with no JSON form is its own key; the cache keeps
+    it, so no id is reused."""
     if isinstance(K, _Polytope):
         return K.dim, np.unique(K.vertices, axis=0).tobytes()
     if isinstance(K, _FourierPolar):
-        return "polar", _body_key(K.body), K.n_nodes
+        return "polar", _body_key(K.body)
     try:
         return json.dumps(K.to_json(), sort_keys=True)
     except (UnsupportedError, GeominimaError):

@@ -1,10 +1,10 @@
 """Surface-area measures and curvature densities.
 
-A polytope carries its surface-area measure as finitely many atoms (facet
-normal, facet area); smooth bodies carry a positive density sampled on a
-spherical grid.  The split is explicit in the types so downstream integrals
-are exact sums for polytopes and quadrature sums for smooth bodies, never a
-silent smoothing of one into the other.
+This module is the one place that discretizes S(K, .).  A polytope carries
+it as finitely many atoms (facet normal, facet area); a smooth body carries
+it as its curvature density times the weights of a spherical grid.  Either
+way every integral against S(K, .) is the same sum over (direction, mass),
+exact for polytopes and a quadrature for smooth bodies.
 """
 
 from dataclasses import dataclass
@@ -24,42 +24,39 @@ _MAX_SPAN = 27.7              # ~ log(1e12): max allowed decade span of h values
 
 
 @dataclass(eq=False, frozen=True)
-class DiscreteSurfaceMeasure:
-    """Atoms (unit normal, mass); mass is the facet area."""
+class SurfaceMeasure:
+    """S(K, .) as masses at finitely many unit directions, with log h_K there.
 
-    normals: np.ndarray   # (m, n)
-    masses: np.ndarray    # (m,)
+    A polytope's masses are its facet areas and ``grid`` is None; a smooth
+    body's masses are the grid weights times f_K at the grid nodes."""
+
+    directions: np.ndarray   # (m, n)
+    masses: np.ndarray       # (m,)
+    log_support: np.ndarray  # (m,)
+    grid: SphericalGrid | None = None
 
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
 
     def to_json(self) -> dict:
-        atoms = [list(u) + [m] for u, m in zip(self.normals.tolist(), self.masses.tolist())]
-        return {"type": "discrete", "atoms": atoms}
+        if self.grid is None:
+            atoms = [list(u) + [m] for u, m in zip(self.directions.tolist(), self.masses.tolist())]
+            return {"type": "discrete", "atoms": atoms}
+        return {"type": "density", "grid_id": self.grid.grid_id,
+                "values": (self.masses / self.grid.weights).tolist()}
 
 
-@dataclass(eq=False, frozen=True)
-class DensitySurfaceMeasure:
-    """Curvature-function density sampled on a spherical grid."""
-
-    grid: SphericalGrid
-    values: np.ndarray    # (N,) strictly positive
-
-    @property
-    def total_mass(self) -> float:
-        return self.grid.integrate(self.values)
-
-    def to_json(self) -> dict:
-        return {"type": "density", "grid_id": self.grid.grid_id, "values": self.values.tolist()}
+def _curvature_function(K: ConvexBody):
+    if not has_curvature(K):
+        raise DomainError(f"{type(K).__name__} has no curvature function")
+    return K.curvature_values
 
 
 def curvature_values(K: ConvexBody, grid: SphericalGrid) -> np.ndarray:
     """Sample the curvature function f_K on the grid; fails for bodies
     without one or when positivity degenerates numerically."""
-    if not has_curvature(K):
-        raise DomainError(f"{type(K).__name__} has no curvature function")
-    vals = np.asarray(K.curvature_values(grid.nodes), dtype=float)
+    vals = np.asarray(_curvature_function(K)(grid.nodes), dtype=float)
     if np.min(vals) <= _POSITIVITY_RATIO * np.max(vals):
         raise DomainError("curvature function is not strictly positive on the grid")
     return vals
@@ -80,35 +77,34 @@ def _read_only(x):
     return x
 
 
-def _grid_samples(K: ConvexBody, grid: SphericalGrid, support=True):
-    """(f_K, log h_K) on the grid.  Each is sampled and checked once per body
-    and grid (the key is the grid object, which the body keeps alive) and
-    kept read-only on the body.  Curvature positivity is checked first; with
-    support=False, log h_K is neither sampled nor checked and is None.  A
-    sample that fails is not kept, so it fails again on the next call."""
+def _grid_samples(K: ConvexBody, grid: SphericalGrid | None = None):
+    """(grid, f_K, log h_K) on the grid, the default grid of K's dimension
+    when none is given.  Each sample is taken and checked once per body and
+    grid (the key is the grid object, which the body keeps alive) and kept
+    read-only on the body.  Curvature positivity is checked first, so a body
+    without a curvature function samples no support value.  A sample that
+    fails is not kept, so it fails again on the next call."""
+    if grid is None:
+        grid = default_grid(K.dim)
     f = K._derived(("curvature", grid), lambda: _read_only(curvature_values(K, grid)))
-    if not support:
-        return f, None
-    return f, K._derived(("log support", grid), lambda: _read_only(
+    return grid, f, K._derived(("log support", grid), lambda: _read_only(
         _log_values(K.support(grid.nodes), "support values")))
 
 
-def surface_measure(K: ConvexBody, grid: SphericalGrid | None = None):
-    """S(K, .): discrete atoms for polytopes, density for smooth bodies."""
+def surface_measure(K: ConvexBody, grid: SphericalGrid | None = None) -> SurfaceMeasure:
+    """S(K, .): the facet atoms of a polytope (``grid`` is not used), or the
+    curvature density of a smooth body on the grid.  A body with neither
+    raises UnsupportedError."""
     if isinstance(K, _Polytope):
-        normals, _, areas = K.facet_data()
-        return DiscreteSurfaceMeasure(normals=normals, masses=areas)
-    if has_curvature(K):
-        if grid is None:
-            grid = default_grid(K.dim)
-        return DensitySurfaceMeasure(grid=grid, values=_grid_samples(K, grid, support=False)[0])
-    raise UnsupportedError(f"no surface-area measure for {type(K).__name__}")
+        normals, offsets, areas = K.facet_data()
+        return SurfaceMeasure(normals, areas, _log_values(offsets, "support values"))
+    if not has_curvature(K):
+        raise UnsupportedError(f"no surface-area measure for {type(K).__name__}")
+    grid, f, log_h = _grid_samples(K, grid)
+    return SurfaceMeasure(grid.nodes, grid.weights * f, log_h, grid)
 
 
 def lp_curvature(K: ConvexBody, p: float, u):
     """f_p(K, u) = h(u)^(1-p) * f(u); defined for every real p."""
-    if not has_curvature(K):
-        raise DomainError(f"{type(K).__name__} has no curvature function")
-    h = K.support(u)
-    f = K.curvature_values(u)
-    return h ** (1.0 - p) * f
+    f = _curvature_function(K)(u)
+    return K.support(u) ** (1.0 - p) * f

@@ -856,10 +856,10 @@ def test_translate_takes_a_list(name):
 # solved on first read
 # ---------------------------------------------------------------------------
 
-def _eager_fourier_polar(F, resolution=4096):
+def _eager_fourier_polar(F):
     """The polar as it was built before its support samples became lazy:
     both legs at once, the support samples from the radial solve."""
-    thetas = 2.0 * math.pi * np.arange(resolution) / resolution
+    thetas = 2.0 * math.pi * np.arange(4096) / 4096
     rho = np.atleast_1d(F.radial_angle(thetas))
     return SampledBody2D(1.0 / rho, 1.0 / F.support_angle(thetas))
 
@@ -889,14 +889,6 @@ def test_fourier_polar_support_samples_match_the_eager_polar(radial_solves, seed
     np.testing.assert_array_equal(P.support(u), ref.support(u))
     np.testing.assert_array_equal(P.polar().h_values, ref.polar().h_values)
     assert radial_solves == [4096]    # solved once, on the first read, and kept
-
-
-def test_fourier_polar_at_other_resolutions():
-    F = _fourier()
-    for n in (8, 100, 1024):
-        np.testing.assert_array_equal(F.polar(n).h_values, _eager_fourier_polar(F, n).h_values)
-    with pytest.raises(InputError):
-        F.polar(4)    # the radial leg runs at construction
 
 
 def test_fourier_polar_checks_the_support_leg_when_solved(monkeypatch):
@@ -936,12 +928,7 @@ def test_polar_is_the_same_object_on_every_call(name):
 
 def test_fourier_polar_is_kept_per_resolution():
     F = _fourier()
-    assert F.polar() is F.polar(4096) is F.polar(resolution=4096)
-    assert F.polar(1024) is F.polar(1024)
-    assert F.polar(1024) is not F.polar()
-    for _ in range(2):   # a polar that fails is not kept, so it fails again
-        with pytest.raises(InputError):
-            F.polar(4)
+    assert F.polar() is F.polar()
 
 
 def test_fourier_polar_solves_its_support_samples_once_across_polar_calls(radial_solves):

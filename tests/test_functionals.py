@@ -13,6 +13,7 @@ from geominima import (
     FourierBody2D,
     HPolytope,
     InputError,
+    LinearImage,
     ShiftedBall,
     StarBody,
     affine_surface_area_p,
@@ -27,12 +28,15 @@ from geominima import (
     mixed_volume_p_star,
     p_surface_area,
     SphericalGrid,
+    UnsupportedError,
+    estimate_gp,
+    gp_objective,
     random_body,
     star_body_is_convex,
     surface_measure,
     unit_ball_volume,
 )
-from geominima.functionals import _integration_pieces
+from geominima.measures import _grid_samples
 
 P_GRID = (-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0)
 
@@ -290,6 +294,17 @@ def test_in_vp_matches_curvature_image_convexity():
             assert member == star_body_is_convex(curvature_image(F, p, g))
 
 
+def test_planar_convexity_tests_need_the_uniform_circle_grid():
+    g = default_grid(2, 256)
+    custom = SphericalGrid(2, g.nodes, g.weights)
+    F = random_body("fourier2d", 2, seed=3)
+    for call in (lambda: in_vp(F, 1.0, custom),
+                 lambda: in_vp(ShiftedBall([0.1, 0.2, 0.0], 1.0), 1.0),
+                 lambda: star_body_is_convex(StarBody(custom, np.ones(256)))):
+        with pytest.raises(UnsupportedError, match="uniform circle grid"):
+            call()
+
+
 def test_in_vp_typical_random_bodies_fail():
     # strongly oscillating curvature is not a reciprocal support power
     g = default_grid(2)
@@ -450,17 +465,48 @@ def test_failed_support_sample_raises_on_every_call(calls, monkeypatch):
             affine_surface_area_p(F, 1.0)
     # the curvature samples passed and are kept; the support samples are not
     assert curvature == [4096] and support == [4096, 4096]
-    assert surface_measure(F).total_mass > 0
+    with pytest.raises(DomainError, match="support values"):
+        surface_measure(F)
 
 
 def test_kept_samples_are_read_only():
     F = random_body("fourier2d", 2, seed=5)
     grid = default_grid(2)
-    _, log_h, _ = _integration_pieces(F, grid)
-    values = surface_measure(F, grid).values
-    assert _integration_pieces(F, grid)[1] is log_h
-    assert surface_measure(F, grid).values is values
-    for arr in (log_h, values):
+    _, f, log_h = _grid_samples(F, grid)
+    assert surface_measure(F, grid).log_support is log_h
+    assert _grid_samples(F, grid)[1] is f
+    for arr in (log_h, f):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def test_one_body_and_grid_share_one_sample_of_f_and_h(calls):
+    F = random_body("fourier2d", 2, seed=5)
+    grid = default_grid(2, 512)
+    curvature = calls(FourierBody2D, "curvature_values")
+    support = calls(FourierBody2D, "support")
+    surface_measure(F, grid)
+    mixed_volume_p(F, ball(2), 0.5, grid)
+    p_surface_area(F, -1.0, grid)
+    affine_surface_area_p(F, 2.0, grid)
+    in_vp(F, 1.0, grid)
+    assert curvature == [512] and support == [512]
+    estimate_gp(F, 0.5, restarts=2, grid=grid)
+    # estimate_gp reads the kept samples too; it adds h_Q at Q = K on the grid
+    # and the sample of its witness check on the grid with four times the nodes
+    assert curvature == [512, 2048] and support == [512, 512, 2048]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_body("fourier2d", 2, seed=5).polar(),
+    lambda: LinearImage([[1.0, 0.5], [0.0, 1.2]], random_body("fourier2d", 2, seed=5)),
+], ids=["fourier-polar", "fourier-linear-image"])
+def test_a_body_without_a_surface_measure_is_unsupported(make):
+    K = make()
+    for call in (lambda: surface_measure(K),
+                 lambda: mixed_volume_p(K, ball(2), 0.5),
+                 lambda: p_surface_area(K, 1.0),
+                 lambda: gp_objective(K, ball(2), 0.5)):
+        with pytest.raises(UnsupportedError, match="no surface-area measure"):
+            call()

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from geominima import (
-    DensitySurfaceMeasure,
-    DiscreteSurfaceMeasure,
     DomainError,
     Ellipsoid,
     FourierBody2D,
     HPolytope,
     InputError,
     ShiftedBall,
+    SurfaceMeasure,
     ball,
     curvature_values,
     lp_curvature,
@@ -68,9 +67,10 @@ def test_grid_rejects_tiny_resolution():
 
 def test_square_atoms():
     sm = surface_measure(square())
-    assert isinstance(sm, DiscreteSurfaceMeasure)
+    assert isinstance(sm, SurfaceMeasure) and sm.grid is None
     assert sm.total_mass == pytest.approx(8.0, abs=1e-13)
-    atoms = sorted(zip(map(tuple, np.round(sm.normals, 12)), sm.masses))
+    np.testing.assert_allclose(sm.log_support, 0.0, atol=1e-15)   # every offset is 1
+    atoms = sorted(zip(map(tuple, np.round(sm.directions, 12)), sm.masses))
     assert [a[0] for a in atoms] == [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
     assert all(m == pytest.approx(2.0, abs=1e-13) for _, m in atoms)
 
@@ -78,8 +78,10 @@ def test_square_atoms():
 def test_ball_density_is_one():
     g = make_grid(3, 512)
     sm = surface_measure(ball(3), g)
-    assert isinstance(sm, DensitySurfaceMeasure)
-    np.testing.assert_allclose(sm.values, 1.0, atol=1e-14)
+    assert isinstance(sm, SurfaceMeasure) and sm.grid is g
+    assert sm.directions is g.nodes
+    np.testing.assert_allclose(sm.masses, g.weights, atol=1e-14)
+    np.testing.assert_allclose(sm.log_support, 0.0, atol=1e-14)
     assert sm.total_mass == pytest.approx(4 * math.pi, abs=1e-10)
 
 
@@ -103,13 +105,13 @@ def test_measure_volume_identity():
     # (1/n) integral of h dS equals the volume
     K = random_body("polytope-hull", 3, seed=17)
     sm = surface_measure(K)
-    vol = float(np.dot(K.support(sm.normals), sm.masses)) / 3.0
+    vol = float(np.dot(K.support(sm.directions), sm.masses)) / 3.0
     assert vol == pytest.approx(K.volume(), rel=1e-12)
 
     g = make_grid(2, 4096)
     F = random_body("fourier2d", 2, seed=18)
     smf = surface_measure(F, g)
-    quad = g.integrate(F.support(g.nodes) * smf.values) / 2.0
+    quad = float(np.dot(np.exp(smf.log_support), smf.masses)) / 2.0
     assert quad == pytest.approx(F.volume(), rel=1e-9)
 
 
@@ -118,7 +120,7 @@ def test_surface_measure_translation_invariant():
     Kt = K.translate(np.array([0.4, -0.2]))
     a = surface_measure(K)
     b = surface_measure(Kt)
-    key = lambda sm: sorted(zip(map(tuple, np.round(sm.normals, 10)), np.round(sm.masses, 10)))
+    key = lambda sm: sorted(zip(map(tuple, np.round(sm.directions, 10)), np.round(sm.masses, 10)))
     assert key(a) == key(b)
 
 
