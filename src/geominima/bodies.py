@@ -21,7 +21,9 @@ differs from a ``VPolytope`` only in its input and its JSON.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -102,18 +104,26 @@ class ConvexBody:
 
     What a body derives from itself alone (its polar, its samples on a grid)
     is computed once and kept in the slot ``_memo``, outside the attributes
-    that describe the body; it dies with the body."""
+    that describe the body; it dies with the body, and a sample on a grid
+    dies with the grid too."""
 
     __slots__ = ("_memo",)
     dim: int
 
-    def _derived(self, key, make):
-        """make(), computed on the first call with this key and kept on the
-        body.  A make() that raises keeps nothing, so it raises again."""
+    def _derived(self, key, make, grid=None):
+        """make(), computed on the first call with this key (and grid) and
+        kept on the body.  The body holds the grid weakly, so a body that
+        lives long, such as ``ball(n)``, does not keep alive every grid it
+        was sampled on.  A make() that raises keeps nothing, so it raises
+        again."""
         try:
             memo = self._memo
         except AttributeError:
             memo = self._memo = {}
+        if grid is not None:
+            if "grids" not in memo:
+                memo["grids"] = weakref.WeakKeyDictionary()
+            memo = memo["grids"].setdefault(grid, {})
         if key not in memo:
             memo[key] = make()
         return memo[key]
@@ -171,7 +181,10 @@ def _first_occurrences(m, near):
 
 def _facet_table(vertices):
     """Hull vertices and facet (normal, offset, area) data; the areas are
-    exact for n in {2, 3} and None beyond."""
+    exact for n in {2, 3} and None beyond.  In 3-D a facet is the set of
+    hull triangles on one qhull plane: qhull gives every triangle of a
+    merged facet the same plane, bit for bit, and triangles on nearly equal
+    but distinct planes stay separate facets."""
     vertices = np.asarray(vertices, dtype=float)
     dim = vertices.shape[1]
     try:
@@ -191,13 +204,10 @@ def _facet_table(vertices):
         normals, offsets = hull.equations[:, :3], -hull.equations[:, 3]
         a, b, c = (vertices[hull.simplices[:, i]] for i in range(3))
         areas = np.array([0.5 * np.linalg.norm(w) for w in np.cross(b - a, c - a)])
-
-        def coplanar(j):
-            return (normals[j:] @ normals[j] >= 1.0 - 1e-10) & (
-                np.abs(offsets[j] - offsets[j:]) <= 1e-9 * (1 + np.abs(offsets[j:])))
-
-        # coplanar simplices join the first facet on their plane
-        owner = _first_occurrences(len(offsets), coplanar)
+        # each triangle joins the facet of the first triangle on its plane
+        _, first, plane = np.unique(hull.equations, axis=0,
+                                    return_index=True, return_inverse=True)
+        owner = first[plane.reshape(-1)]
         keep = owner == np.arange(len(owner))
         # areas add up in simplex order
         areas = np.bincount(owner, weights=areas, minlength=len(owner))[keep]
@@ -453,9 +463,17 @@ def is_centered_ellipsoid(K: ConvexBody) -> bool:
     return isinstance(K, Ellipsoid) and not K.center.any()
 
 
+@lru_cache(maxsize=None)
 def ball(n: int) -> Ellipsoid:
-    """The unit Euclidean ball as an ellipsoid with identity matrix."""
-    return Ellipsoid(np.eye(n))
+    """The unit Euclidean ball as an ellipsoid with identity matrix.  There
+    is one instance per dimension, with read-only arrays, and it is its own
+    polar; so its polar is computed once per process and its samples once
+    per grid, kept while the grid lives."""
+    B = Ellipsoid(np.eye(n))
+    for arr in (B.matrix, B.center, B._inv, B._q):
+        arr.flags.writeable = False
+    B._derived("polar", lambda: B)
+    return B
 
 
 def ShiftedEllipsoid(matrix, center) -> Ellipsoid:

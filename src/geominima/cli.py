@@ -13,6 +13,7 @@ precision.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -183,7 +184,10 @@ def _cmd_generate(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; only a process that
+    calls ``main`` more than once gains from that."""
     parser = argparse.ArgumentParser(
         prog="geominima",
         description="convex-geometry functionals, geominimal estimates, and "

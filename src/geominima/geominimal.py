@@ -46,7 +46,7 @@ from .bodies import (
 from .errors import DomainError, InputError
 from .functionals import _finite_order, _guard_order, log_objective, logsumexp
 from .grids import SphericalGrid, default_grid, make_grid, unit_ball_volume
-from .measures import _log_values, surface_measure
+from .measures import _log_support, surface_measure
 
 _TIE_TOL = 1e-12
 _MAX_SUPPORT_FAMILY_FACETS = 12
@@ -81,8 +81,8 @@ class _Evaluator:
         return log_objective(self.n, self.p, log_vp, log_polar_volume), np.exp(a - lse)
 
     def log_objective_body(self, Q):
-        hq = Q.support(self.u)
-        return self.log_objective(_log_values(hq, "support values"), math.log(Q.polar().volume()))
+        return self.log_objective(_log_support(Q, self.u, self.grid),
+                                  math.log(Q.polar().volume()))
 
 
 def gp_objective(K: ConvexBody, Q: ConvexBody, p: float,

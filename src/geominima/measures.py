@@ -77,18 +77,28 @@ def _read_only(x):
     return x
 
 
+def _log_support(Q: ConvexBody, u: np.ndarray, grid: SphericalGrid | None = None) -> np.ndarray:
+    """log h_Q at the directions u, for any body Q.  On a grid (u are its
+    nodes) it is taken and checked once per body and grid and kept read-only
+    on the body; at a polytope's facet normals it is taken afresh.  A sample
+    that fails is not kept, so it fails again on the next call."""
+    def sample():
+        return _log_values(Q.support(u), "support values")
+
+    if grid is None:
+        return sample()
+    return Q._derived("log support", lambda: _read_only(sample()), grid)
+
+
 def _grid_samples(K: ConvexBody, grid: SphericalGrid | None = None):
     """(grid, f_K, log h_K) on the grid, the default grid of K's dimension
-    when none is given.  Each sample is taken and checked once per body and
-    grid (the key is the grid object, which the body keeps alive) and kept
-    read-only on the body.  Curvature positivity is checked first, so a body
-    without a curvature function samples no support value.  A sample that
-    fails is not kept, so it fails again on the next call."""
+    when none is given.  f_K is kept like ``_log_support``.  Curvature
+    positivity is checked first, so a body without a curvature function
+    samples no support value."""
     if grid is None:
         grid = default_grid(K.dim)
-    f = K._derived(("curvature", grid), lambda: _read_only(curvature_values(K, grid)))
-    return grid, f, K._derived(("log support", grid), lambda: _read_only(
-        _log_values(K.support(grid.nodes), "support values")))
+    f = K._derived("curvature", lambda: _read_only(curvature_values(K, grid)), grid)
+    return grid, f, _log_support(K, grid.nodes, grid)
 
 
 def surface_measure(K: ConvexBody, grid: SphericalGrid | None = None) -> SurfaceMeasure:

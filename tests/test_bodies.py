@@ -622,6 +622,8 @@ def _normal_merge_reference(normals, offsets):
 
 
 def _facet_merge_reference(vertices):
+    # merges by tolerance, not by equal qhull planes: distinct planes through
+    # lattice points are far apart, so on lattice points both rules must agree
     hull = ConvexHull(vertices)
     reps, offs, areas = [], [], []
     for simplex, eq in zip(hull.simplices, hull.equations):
@@ -666,6 +668,21 @@ def test_facet_merge_matches_reference(seed, m):
     K = VPolytope(pts)
     for got, want in zip(K.facet_data(), _facet_merge_reference(pts)):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("lift, facets", [([0.0, 0.0, 1e-9], 7), ([1e-9] * 3, 9)],
+                         ids=["along-z", "along-diagonal"])
+def test_nearly_coplanar_triangles_stay_separate_facets(lift, facets):
+    # lifting the cube vertex (1, 1, 1) by 1e-9 bends each cube face whose
+    # plane it leaves into two triangles, whose planes differ by about 1e-9
+    V = np.array([[s, t, u] for s in (-1.0, 1.0) for t in (-1.0, 1.0) for u in (-1.0, 1.0)])
+    V[-1] += lift
+    K = VPolytope(V)
+    assert len(K.facet_data()[0]) == facets
+    hull = ConvexHull(K.vertices)
+    assert abs(K.volume() - hull.volume) <= 1e-12
+    duals = hull.equations[:, :3] / -hull.equations[:, 3:]
+    assert abs(K.polar().volume() - ConvexHull(duals).volume) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -924,6 +941,16 @@ def test_polar_is_the_same_object_on_every_call(name):
     P = K.polar()
     assert K.polar() is P
     assert P.polar() is P.polar()
+
+
+def test_ball_is_one_read_only_instance_per_dimension():
+    B = ball(3)
+    assert ball(3) is B and B.polar() is B and ball(2) is not B
+    with pytest.raises(ValueError):
+        B.matrix[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        B.center[0] = 1.0
+    np.testing.assert_array_equal(B.matrix, np.eye(3))
 
 
 def test_fourier_polar_is_kept_per_resolution():

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from geominima import bodies
-from geominima.cli import main
+from geominima.cli import build_parser, main
 
 
 @pytest.fixture
@@ -312,6 +312,18 @@ def test_compute_on_a_fourier_body_makes_four_trig_passes(tmp_path, calls):
                  "--p=-4,-1.5,-0.5,0,1,2", "--out", str(tmp_path / "out.json")]) == 0
     # the convexity check, the polar's radial samples, then f_K and h_K on the grid
     assert trig == [2048, 4096, 4096, 4096]
+
+
+def test_one_parser_serves_repeated_compute_calls(tmp_path):
+    assert build_parser() is build_parser()
+    path = tmp_path / "fourier.json"
+    path.write_text(json.dumps(bodies.random_body("fourier2d", 2, seed=5).to_json()))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert main(["compute", "--body", str(path),
+                     "--quantities", "volume,polar_volume,mahler,vp,sp,asp,in_vp",
+                     "--p=-4,-1.5,-0.5,0,1,2", "--out", str(out)]) == 0
+    assert outs[0].read_text() == outs[1].read_text()
 
 
 @pytest.mark.parametrize("argv", [["estimate", "--p", "1", "--seed", "-1"],

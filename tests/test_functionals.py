@@ -1,6 +1,10 @@
 """Mixed volumes, surface areas, volume products, curvature images."""
 
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -493,9 +497,60 @@ def test_one_body_and_grid_share_one_sample_of_f_and_h(calls):
     in_vp(F, 1.0, grid)
     assert curvature == [512] and support == [512]
     estimate_gp(F, 0.5, restarts=2, grid=grid)
-    # estimate_gp reads the kept samples too; it adds h_Q at Q = K on the grid
-    # and the sample of its witness check on the grid with four times the nodes
-    assert curvature == [512, 2048] and support == [512, 512, 2048]
+    # estimate_gp reads the kept samples too, also h_Q at the fixed candidate
+    # Q = K, which is not resampled; it adds only the samples of its witness
+    # check on the grid with four times the nodes
+    assert curvature == [512, 2048] and support == [512, 2048]
+
+
+def test_mixed_volumes_at_all_orders_sample_h_q_once(calls):
+    F = random_body("fourier2d", 2, seed=5)
+    # a fresh ellipsoid: the shared ball(2) may already hold its samples
+    Q = Ellipsoid([[1.5, 0.0], [0.0, 0.8]])
+    support = calls(Ellipsoid, "support")
+    grid = default_grid(2)
+    values = [mixed_volume_p(F, Q, p, grid) for p in COMPUTE_ORDERS]
+    assert support == [4096]
+    fresh = Ellipsoid([[1.5, 0.0], [0.0, 0.8]])
+    assert values == [mixed_volume_p(F, fresh, p, grid) for p in COMPUTE_ORDERS]
+    assert support == [4096, 4096]
+
+
+def test_the_shared_ball_keeps_no_grid_alive():
+    # ball(2) lives as long as the process; its sample on a grid must not
+    # keep the grid alive after the caller has dropped it
+    g = default_grid(2, 256)
+    grid = SphericalGrid(2, g.nodes.copy(), g.weights, kind=g.kind, thetas=g.thetas)
+    p_surface_area(random_body("fourier2d", 2, seed=5), 2.0, grid)
+    kept = weakref.ref(grid)
+    del grid
+    gc.collect()
+    assert kept() is None
+
+
+def test_threads_share_the_ball_and_its_samples():
+    # a grid the shared ball has never seen, so the threads race to sample it
+    g = default_grid(2, 256)
+    grid = SphericalGrid(2, g.nodes.copy(), g.weights, kind=g.kind, thetas=g.thetas)
+    F = random_body("fourier2d", 2, seed=5)
+    want = [p_surface_area(FourierBody2D(F.a, F.b), p, g) for p in COMPUTE_ORDERS]
+    results = {}
+
+    def work(i):
+        results[i] = [p_surface_area(F, p, grid) for p in COMPUTE_ORDERS]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert [results[i] for i in range(8)] == [want] * 8
 
 
 @pytest.mark.parametrize("make", [
