@@ -6,9 +6,10 @@ c + A * B (one class, ``Ellipsoid``, for centered ellipsoids, balls and their
 shifts), cosine/sine support expansions in the plane, and the sampled planar
 bodies and lazy linear images that ``polar`` and ``linear_map`` produce from
 smooth planar bodies; the polar of a Fourier body solves its support samples
-only when they are read.  A quadric is written to JSON under one of three type
-names, chosen from its content: ``ellipsoid`` (center at the origin),
-``shifted-ball`` (matrix r * I) or ``shifted-ellipsoid``.
+only when they are read, and its polar is the Fourier body.  A quadric is
+written to JSON under one of three type names, chosen from its content:
+``ellipsoid`` (center at the origin), ``shifted-ball`` (matrix r * I) or
+``shifted-ellipsoid``.
 
 Polytope facet data (normals, offsets, facet areas, vertices) is computed
 once at construction, exactly, for n in {2, 3}; every polytope quantity
@@ -102,28 +103,28 @@ def _check_transform(T, dim):
 class ConvexBody:
     """Base class.  Subclasses are immutable value objects.
 
-    What a body derives from itself alone (its polar, its samples on a grid)
-    is computed once and kept in the slot ``_memo``, outside the attributes
-    that describe the body; it dies with the body, and a sample on a grid
-    dies with the grid too."""
+    What a body derives from itself alone (its polar, its samples at the
+    directions of a grid or polytope) is computed once and kept in the slot
+    ``_memo``, outside the attributes that describe the body; it dies with
+    the body, and a sample dies with its grid or polytope too."""
 
     __slots__ = ("_memo",)
     dim: int
 
-    def _derived(self, key, make, grid=None):
-        """make(), computed on the first call with this key (and grid) and
-        kept on the body.  The body holds the grid weakly, so a body that
-        lives long, such as ``ball(n)``, does not keep alive every grid it
-        was sampled on.  A make() that raises keeps nothing, so it raises
-        again."""
+    def _derived(self, key, make, owner=None):
+        """make(), computed on the first call with this key (and owner) and
+        kept on the body.  The body holds the owner weakly, so a body that
+        lives long, such as ``ball(n)``, does not keep alive every grid or
+        polytope it was sampled for.  A make() that raises keeps nothing, so
+        it raises again."""
         try:
             memo = self._memo
         except AttributeError:
             memo = self._memo = {}
-        if grid is not None:
-            if "grids" not in memo:
-                memo["grids"] = weakref.WeakKeyDictionary()
-            memo = memo["grids"].setdefault(grid, {})
+        if owner is not None:
+            if "owners" not in memo:
+                memo["owners"] = weakref.WeakKeyDictionary()
+            memo = memo["owners"].setdefault(owner, {})
         if key not in memo:
             memo[key] = make()
         return memo[key]
@@ -703,7 +704,7 @@ class _FourierPolar(SampledBody2D):
     """The polar of a ``FourierBody2D`` on the uniform grid of ``_NODES``
     nodes.  Its radial samples 1/h of the body come from one trig pass.  Its
     support samples 1/rho of the body need the body's radial solve, so they
-    are solved, checked and kept on first read."""
+    are solved, checked and kept on first read.  Its polar is the body."""
 
     _NODES = 4096
 
@@ -711,6 +712,9 @@ class _FourierPolar(SampledBody2D):
         self.body = body
         thetas = 2.0 * math.pi * np.arange(self._NODES) / self._NODES
         self._set_radial(1.0 / body.support_angle(thetas))
+
+    def polar(self):
+        return self.body
 
     @property
     def h_values(self):

@@ -85,7 +85,7 @@ def log_n_mixed_volume_p(K: ConvexBody, Q: ConvexBody, p: float,
     """log of n * V_p(K, Q), from the integral of h_Q^p h_K^{1-p} dS(K, .)."""
     _finite_order(p)
     sm = surface_measure(K, grid)
-    log_hq = _log_support(Q, sm.directions, sm.grid)
+    log_hq = _log_support(Q, sm.directions, sm.grid or K)
     return float(logsumexp(p * log_hq + (1.0 - p) * sm.log_support + np.log(sm.masses)))
 
 

@@ -5,13 +5,16 @@ The quantity estimated is, for a body K and order p (p != -n),
     inf or sup over convex Q of  n * V_p(K, Q)^{n/(n+p)} * |Q polar|^{p/(n+p)}
 
 with the infimum for p >= 0 and the supremum for p < 0.  The optimization
-runs over the fixed candidates K and the unit ball B and over structured
-candidate families (ellipsoids through a log-Cholesky chart and, for
-polytope K, positive offsets over its own normal fan), by multistart local
-search on log-scale objectives.  The objective is invariant under Q -> tQ,
-so B stands for all its dilates.  Every returned value is certified
-one-sided: an upper bound of the infimum for p >= 0, a lower bound of the
-supremum for p < 0.
+runs over the fixed candidates K and the unit ball B and over one candidate
+family, by multistart local search on log-scale objectives: ellipsoids
+through a log-Cholesky chart for a smooth K, and for a polytope K at p > 0
+positive offsets over its own normal fan, skipped past
+_MAX_SUPPORT_FAMILY_FACETS facets.  The fan suffices: V_p(K, Q) sees h_Q
+only at K's facet normals u_i, and {x : <x, u_i> <= h_Q(u_i)} contains Q,
+so its polar is smaller and it is never worse than Q.  The objective is
+invariant under Q -> tQ, so B stands for all its dilates.  Every returned
+value is certified one-sided: an upper bound of the infimum for p >= 0, a
+lower bound of the supremum for p < 0.
 
 Each restart is a bounded L-BFGS-B run on the exact gradient of the log
 objective, descending for p > 0 and ascending for p < 0.  In the ellipsoid
@@ -81,7 +84,7 @@ class _Evaluator:
         return log_objective(self.n, self.p, log_vp, log_polar_volume), np.exp(a - lse)
 
     def log_objective_body(self, Q):
-        return self.log_objective(_log_support(Q, self.u, self.grid),
+        return self.log_objective(_log_support(Q, self.u, self.grid or self.K),
                                   math.log(Q.polar().volume()))
 
 
@@ -98,6 +101,7 @@ class EllipsoidFamily:
     Parameters are the log-diagonal followed by the raw lower entries."""
 
     name = "ellipsoid"
+    stream = 0      # the restart seeds are SeedSequence([seed, stream])
 
     def __init__(self, dim):
         self.dim = dim
@@ -154,6 +158,7 @@ class PolytopeSupportFamily:
     log-parameterized positive offsets."""
 
     name = "polytope-support"
+    stream = 1
 
     def __init__(self, K):
         if not isinstance(K, _Polytope):
@@ -251,12 +256,13 @@ class GpEstimate:
 
 def estimate_gp(K: ConvexBody, p: float, restarts: int = 8, seed: int = 0,
                 grid: SphericalGrid | None = None, maxiter: int = 400) -> GpEstimate:
-    """Optimize the objective over the candidate families plus the fixed
-    candidates K and B.  The objective is invariant under Q -> tQ, so no
-    dilate of B adds a candidate.  Deterministic for a fixed seed; restart
-    seeds are derived by counter so results do not depend on evaluation
-    order.  A polytope at p < 0 gets a thin centered ellipsoid with no search;
-    being centered, it is admissible also where Q must be origin-symmetric."""
+    """Optimize the objective over K, B and one candidate family: ellipsoids
+    for a smooth K; for a polytope at p > 0 its normal fan, whose body for any
+    Q has the same V_p and contains Q, so is never worse (no family past
+    _MAX_SUPPORT_FAMILY_FACETS facets).  B stands for all its dilates.
+    Deterministic for a fixed seed: each family has its own seed stream.  A
+    polytope at p < 0 gets a thin centered ellipsoid with no search, admissible
+    also where Q must be origin-symmetric.  ``restarts_used`` counts restarts."""
     n = K.dim
     _guard_order(p, n)
     _count(restarts, "restarts")
@@ -289,41 +295,33 @@ def estimate_gp(K: ConvexBody, p: float, restarts: int = 8, seed: int = 0,
                           trace=[{"note": "polytope at p < 0: the supremum is infinite"}],
                           suspected_unbounded=True, **fixed)
 
-    families = [EllipsoidFamily(n)]
-    if isinstance(K, _Polytope):
-        families.append(PolytopeSupportFamily(K))
-
-    trace = []
-    candidates = []   # (log_j, family, restart, params) per completed restart
-    for fam_idx, fam in enumerate(families):
-        if isinstance(fam, PolytopeSupportFamily) and fam.n_params > _MAX_SUPPORT_FAMILY_FACETS:
-            trace.append({"family": fam.name, "skipped": "not applicable"})
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence([seed, fam_idx]))
+    fam = PolytopeSupportFamily(K) if isinstance(K, _Polytope) else EllipsoidFamily(n)
+    trace, starts = [], []
+    if isinstance(K, _Polytope) and fam.n_params > _MAX_SUPPORT_FAMILY_FACETS:
+        trace.append({"family": fam.name, "skipped": "not applicable"})
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, fam.stream]))
         starts = fam.initial_points(K, restarts, rng)
-        for ridx, x0 in enumerate(starts):
-            res = _descend(fam, ev, x0, maxiter, sign)
-            log_j = _witness_log_objective(fam, ev, res.x)
-            trace.append({"family": fam.name, "restart": ridx,
-                          "fun": float(log_j), "nit": int(res.nit), "nfev": int(res.nfev)})
-            if np.isfinite(log_j):
-                candidates.append((log_j, fam, ridx, res.x))
 
     fine = None
-    for log_j, fam, ridx, x in candidates:
-        if sign * log_j >= sign * best_log - _TIE_TOL:
+    for ridx, x0 in enumerate(starts):
+        res = _descend(fam, ev, x0, maxiter, sign)
+        log_j = _witness_log_objective(fam, ev, res.x)
+        trace.append({"family": fam.name, "restart": ridx,
+                      "fun": float(log_j), "nit": int(res.nit), "nfev": int(res.nfev)})
+        if not np.isfinite(log_j) or sign * log_j >= sign * best_log - _TIE_TOL:
             continue
         # a polytope's atoms are exact; a smooth K's grid is checked on a finer one
         if ev.grid is not None:
             fine = fine or _Evaluator(K, p, make_grid(n, 4 * ev.grid.n_nodes))
-            log_fine = _witness_log_objective(fam, fine, x)
+            log_fine = _witness_log_objective(fam, fine, res.x)
             if not abs(log_fine - log_j) <= _WITNESS_TOL:
                 trace.append({"family": fam.name, "rejected": ridx,
                               "fun": float(log_j), "fine_fun": float(log_fine)})
                 continue
-        best_log, best_body = log_j, fam.build(x)
+        best_log, best_body = log_j, fam.build(res.x)
 
-    return GpEstimate(value=math.exp(best_log), witness=best_body, restarts_used=restarts,
+    return GpEstimate(value=math.exp(best_log), witness=best_body, restarts_used=len(starts),
                       trace=trace, **fixed)
 
 

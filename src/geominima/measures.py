@@ -77,17 +77,14 @@ def _read_only(x):
     return x
 
 
-def _log_support(Q: ConvexBody, u: np.ndarray, grid: SphericalGrid | None = None) -> np.ndarray:
-    """log h_Q at the directions u, for any body Q.  On a grid (u are its
-    nodes) it is taken and checked once per body and grid and kept read-only
-    on the body; at a polytope's facet normals it is taken afresh.  A sample
-    that fails is not kept, so it fails again on the next call."""
-    def sample():
-        return _log_values(Q.support(u), "support values")
-
-    if grid is None:
-        return sample()
-    return Q._derived("log support", lambda: _read_only(sample()), grid)
+def _log_support(Q: ConvexBody, u: np.ndarray, owner) -> np.ndarray:
+    """log h_Q at the directions u of ``owner``, for any body Q: the nodes of
+    a grid for a smooth measure, the facet normals of a polytope K for an
+    atomic one.  It is taken and checked once per body and owner and kept
+    read-only on the body, which holds the owner weakly.  A sample that
+    fails is not kept, so it fails again on the next call."""
+    return Q._derived(
+        "log support", lambda: _read_only(_log_values(Q.support(u), "support values")), owner)
 
 
 def _grid_samples(K: ConvexBody, grid: SphericalGrid | None = None):

@@ -156,11 +156,12 @@ def test_fourier_duality_against_independent_oracle():
     np.testing.assert_allclose(F.radial(node_u) * Fp.support(node_u), 1.0, atol=1e-10)
 
 
-def test_fourier_bipolar_node_exact():
+def test_fourier_bipolar_node_exact(radial_solves):
+    # K polar polar = K: the bipolar is the body itself, exact everywhere,
+    # and taking it solves no radial sample
     F = random_body("fourier2d", 2, seed=5)
-    Fp = F.polar()
-    u = np.column_stack([np.cos(Fp.thetas), np.sin(Fp.thetas)])
-    np.testing.assert_allclose(Fp.polar().h_values, F.support(u), atol=1e-12)
+    assert F.polar().polar() is F
+    assert radial_solves == []
 
 
 @settings(max_examples=50, deadline=None)
@@ -904,7 +905,7 @@ def test_fourier_polar_support_samples_match_the_eager_polar(radial_solves, seed
     assert json.dumps(P.to_json()) == json.dumps(ref.to_json())
     u = circle_dirs(64)
     np.testing.assert_array_equal(P.support(u), ref.support(u))
-    np.testing.assert_array_equal(P.polar().h_values, ref.polar().h_values)
+    assert P.polar() is F
     assert radial_solves == [4096]    # solved once, on the first read, and kept
 
 
@@ -925,10 +926,7 @@ def test_polar_of_a_linear_image_and_the_bipolar_of_a_fourier_body():
     np.testing.assert_array_equal(Kp.support(u), want.support(u))
     np.testing.assert_array_equal(Kp.radial(u), want.radial(u))
     assert Kp.volume() == want.volume()
-    bipolar = F.polar().polar()
-    assert json.dumps(bipolar.to_json()) == json.dumps(ref.polar().to_json())
-    np.testing.assert_allclose(bipolar.h_values, F.support(
-        np.column_stack([np.cos(bipolar.thetas), np.sin(bipolar.thetas)])), atol=1e-12)
+    assert F.polar().polar() is F
 
 
 # ---------------------------------------------------------------------------

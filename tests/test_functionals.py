@@ -33,6 +33,7 @@ from geominima import (
     p_surface_area,
     SphericalGrid,
     UnsupportedError,
+    VPolytope,
     estimate_gp,
     gp_objective,
     random_body,
@@ -524,6 +525,30 @@ def test_the_shared_ball_keeps_no_grid_alive():
     p_surface_area(random_body("fourier2d", 2, seed=5), 2.0, grid)
     kept = weakref.ref(grid)
     del grid
+    gc.collect()
+    assert kept() is None
+
+
+def test_a_polytope_samples_h_q_once_at_its_facet_normals(calls):
+    K = random_body("polytope-hull", 3, seed=1)
+    assert isinstance(K, VPolytope)
+    # a fresh ellipsoid: the shared ball(3) may already hold its samples
+    Q = Ellipsoid(np.diag([1.5, 0.8, 1.1]))
+    support = calls(Ellipsoid, "support")
+    values = [mixed_volume_p(K, Q, p) for p in COMPUTE_ORDERS]
+    objective = gp_objective(K, Q, 1.0)
+    assert support == [K.facet_data()[0].shape[0]]
+    fresh = Ellipsoid(np.diag([1.5, 0.8, 1.1]))
+    assert values == [mixed_volume_p(K, fresh, p) for p in COMPUTE_ORDERS]
+    assert objective == gp_objective(K, fresh, 1.0)
+
+
+def test_the_shared_ball_keeps_no_polytope_alive():
+    # ball(3) keeps its samples at K's facet normals; they must not keep K alive
+    K = random_body("polytope-hull", 3, seed=1)
+    p_surface_area(K, 1.0)
+    kept = weakref.ref(K)
+    del K
     gc.collect()
     assert kept() is None
 

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geominima import (
     DomainError,
@@ -220,12 +222,11 @@ def test_estimate_skips_the_support_family_past_twelve_facets():
     K = random_body("polytope-hull", 3, seed=1)
     assert K.facet_data()[0].shape[0] > 12
     est = estimate_gp(K, 1.0, restarts=2, maxiter=50)
-    skipped = [e for e in est.trace if "skipped" in e]
-    assert len(skipped) == 1
-    assert set(skipped[0]) == {"family", "skipped"}
-    assert skipped[0]["family"] == "polytope-support"
-    families = {e["family"] for e in est.trace if "restart" in e}
-    assert families == {"ellipsoid"}
+    # the fan family is the only search on a polytope, so no restart runs
+    # and K and B remain
+    assert est.trace == [{"family": "polytope-support", "skipped": "not applicable"}]
+    assert est.restarts_used == 0 and est.to_json()["restarts_used"] == 0
+    assert est.witness is K or est.witness is ball(3)
 
 
 def test_estimate_trace_records_restarts():
@@ -236,8 +237,26 @@ def test_estimate_trace_records_restarts():
         if "restart" in entry:
             by_family.setdefault(entry["family"], []).append(entry)
             assert {"fun", "nit", "nfev"} <= set(entry)
-    assert set(by_family) == {"ellipsoid", "polytope-support"}
+    # a polytope at p > 0 searches its normal fan only
+    assert set(by_family) == {"polytope-support"}
     assert all(len(v) == 3 for v in by_family.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 10_000), st.floats(1e-3, 4.0),
+       st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12), st.booleans())
+def test_fan_body_is_never_worse_than_the_ellipsoid_it_comes_from(n, seed, p, xs, shifted):
+    # V_p(K, Q) sees h_Q only at the facet normals u of K, and the fan body
+    # {<x, u_i> <= h_Q(u_i)} contains Q, so its polar is smaller: for p > 0 no
+    # ellipsoid beats the fan family on a polytope
+    K = random_body("polytope-hull", n, seed=seed)
+    x = np.array(xs)
+    L = np.tril(np.reshape(x[:n * n], (n, n)), k=-1) + np.diag(np.exp(x[:n]))
+    w = x[-n:] / max(1.0, np.linalg.norm(x[-n:])) * 0.9
+    Q = Ellipsoid(L, L @ w if shifted else None)     # the origin is -w in L's chart
+    u = K.facet_data()[0]
+    fan = HPolytope(u, Q.support(u))
+    assert gp_objective(K, fan, p) <= gp_objective(K, Q, p) * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +541,7 @@ def test_descent_trace_keeps_the_restart_entry(K, p):
     maxiter = 30
     est = estimate_gp(K, p, restarts=3, seed=1, maxiter=maxiter)
     entries = [e for e in est.trace if "restart" in e]
-    assert len(entries) == 3 * (2 if K.dim == 3 or isinstance(K, HPolytope) else 1)
+    assert len(entries) == 3     # one family per body
     for entry in entries:
         assert set(entry) == {"family", "restart", "fun", "nit", "nfev"}
         assert isinstance(entry["nit"], int) and 0 <= entry["nit"] <= maxiter
