@@ -7,9 +7,8 @@ shifts), cosine/sine support expansions in the plane, and the sampled planar
 bodies and lazy linear images that ``polar`` and ``linear_map`` produce from
 smooth planar bodies; the polar of a Fourier body solves its support samples
 only when they are read, and its polar is the Fourier body.  A quadric is
-written to JSON under one of three type names, chosen from its content:
-``ellipsoid`` (center at the origin), ``shifted-ball`` (matrix r * I) or
-``shifted-ellipsoid``.
+written to JSON under one of three type names: ``ellipsoid`` (center at the
+origin), ``shifted-ball`` (matrix r * I) or ``shifted-ellipsoid``.
 
 Polytope facet data (normals, offsets, facet areas, vertices) is computed
 once at construction, exactly, for n in {2, 3}; every polytope quantity

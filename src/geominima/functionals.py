@@ -16,7 +16,7 @@ import numpy as np
 from .bodies import ConvexBody, Ellipsoid, ball, is_centered_ellipsoid
 from .errors import DomainError, InputError, UnsupportedError
 from .grids import SphericalGrid, circle_interp, unit_ball_volume
-from .measures import _grid_samples, _log_support, _log_values, surface_measure
+from .measures import _grid_samples, _log_values, surface_measure
 
 EXCLUDED_ORDER_TOL = 1e-6     # band around p = -n where functionals blow up
 
@@ -85,7 +85,7 @@ def log_n_mixed_volume_p(K: ConvexBody, Q: ConvexBody, p: float,
     """log of n * V_p(K, Q), from the integral of h_Q^p h_K^{1-p} dS(K, .)."""
     _finite_order(p)
     sm = surface_measure(K, grid)
-    log_hq = _log_support(Q, sm.directions, sm.grid or K)
+    log_hq = sm.log_support_of(Q)
     return float(logsumexp(p * log_hq + (1.0 - p) * sm.log_support + np.log(sm.masses)))
 
 

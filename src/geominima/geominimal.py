@@ -5,16 +5,13 @@ The quantity estimated is, for a body K and order p (p != -n),
     inf or sup over convex Q of  n * V_p(K, Q)^{n/(n+p)} * |Q polar|^{p/(n+p)}
 
 with the infimum for p >= 0 and the supremum for p < 0.  The optimization
-runs over the fixed candidates K and the unit ball B and over one candidate
-family, by multistart local search on log-scale objectives: ellipsoids
-through a log-Cholesky chart for a smooth K, and for a polytope K at p > 0
-positive offsets over its own normal fan, skipped past
-_MAX_SUPPORT_FAMILY_FACETS facets.  The fan suffices: V_p(K, Q) sees h_Q
-only at K's facet normals u_i, and {x : <x, u_i> <= h_Q(u_i)} contains Q,
-so its polar is smaller and it is never worse than Q.  The objective is
-invariant under Q -> tQ, so B stands for all its dilates.  Every returned
-value is certified one-sided: an upper bound of the infimum for p >= 0, a
-lower bound of the supremum for p < 0.
+runs over the fixed candidates K and the unit ball B and over one family,
+by multistart local search on log-scale objectives: the normal fan of a
+polytope K at p > 0 with at most _MAX_SUPPORT_FAMILY_FACETS facets, which
+no Q beats (V_p(K, Q) sees h_Q only at the facet normals u_i, and the fan
+body {x : <x, u_i> <= h_Q(u_i)} contains Q), else ellipsoids.  B stands for
+all its dilates.  Every returned value is certified one-sided: an upper
+bound of the infimum for p >= 0, a lower bound of the supremum for p < 0.
 
 Each restart is a bounded L-BFGS-B run on the exact gradient of the log
 objective, descending for p > 0 and ascending for p < 0.  In the ellipsoid
@@ -49,7 +46,7 @@ from .bodies import (
 from .errors import DomainError, InputError
 from .functionals import _finite_order, _guard_order, log_objective, logsumexp
 from .grids import SphericalGrid, default_grid, make_grid, unit_ball_volume
-from .measures import _log_support, surface_measure
+from .measures import surface_measure
 
 _TIE_TOL = 1e-12
 _MAX_SUPPORT_FAMILY_FACETS = 12
@@ -67,7 +64,7 @@ class _Evaluator:
         self.K = K
         self.n = K.dim
         self.p = p
-        sm = surface_measure(K, grid)
+        self._sm = sm = surface_measure(K, grid)
         self.u, self.grid = sm.directions, sm.grid
         self._base = (1.0 - p) * sm.log_support + np.log(sm.masses)
 
@@ -84,7 +81,7 @@ class _Evaluator:
         return log_objective(self.n, self.p, log_vp, log_polar_volume), np.exp(a - lse)
 
     def log_objective_body(self, Q):
-        return self.log_objective(_log_support(Q, self.u, self.grid or self.K),
+        return self.log_objective(self._sm.log_support_of(Q),
                                   math.log(Q.polar().volume()))
 
 
@@ -256,13 +253,12 @@ class GpEstimate:
 
 def estimate_gp(K: ConvexBody, p: float, restarts: int = 8, seed: int = 0,
                 grid: SphericalGrid | None = None, maxiter: int = 400) -> GpEstimate:
-    """Optimize the objective over K, B and one candidate family: ellipsoids
-    for a smooth K; for a polytope at p > 0 its normal fan, whose body for any
-    Q has the same V_p and contains Q, so is never worse (no family past
-    _MAX_SUPPORT_FAMILY_FACETS facets).  B stands for all its dilates.
-    Deterministic for a fixed seed: each family has its own seed stream.  A
-    polytope at p < 0 gets a thin centered ellipsoid with no search, admissible
-    also where Q must be origin-symmetric.  ``restarts_used`` counts restarts."""
+    """Optimize the objective over K, B and one family: the normal fan of a
+    polytope at p > 0, whose body for any Q has the same V_p and contains Q;
+    ellipsoids for a smooth K and, past _MAX_SUPPORT_FAMILY_FACETS facets,
+    for a polytope.  Deterministic for a fixed seed: each family has its own
+    seed stream.  A polytope at p < 0 gets a thin centered ellipsoid with no
+    search, admissible also where Q must be origin-symmetric."""
     n = K.dim
     _guard_order(p, n)
     _count(restarts, "restarts")
@@ -295,13 +291,13 @@ def estimate_gp(K: ConvexBody, p: float, restarts: int = 8, seed: int = 0,
                           trace=[{"note": "polytope at p < 0: the supremum is infinite"}],
                           suspected_unbounded=True, **fixed)
 
-    fam = PolytopeSupportFamily(K) if isinstance(K, _Polytope) else EllipsoidFamily(n)
-    trace, starts = [], []
-    if isinstance(K, _Polytope) and fam.n_params > _MAX_SUPPORT_FAMILY_FACETS:
-        trace.append({"family": fam.name, "skipped": "not applicable"})
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, fam.stream]))
-        starts = fam.initial_points(K, restarts, rng)
+    fam, trace = EllipsoidFamily(n), []
+    if isinstance(K, _Polytope) and len(K.facet_data()[0]) > _MAX_SUPPORT_FAMILY_FACETS:
+        trace.append({"family": PolytopeSupportFamily.name, "skipped": "not applicable"})
+    elif isinstance(K, _Polytope):
+        fam = PolytopeSupportFamily(K)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, fam.stream]))
+    starts = fam.initial_points(K, restarts, rng)
 
     fine = None
     for ridx, x0 in enumerate(starts):

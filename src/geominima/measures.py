@@ -7,7 +7,7 @@ way every integral against S(K, .) is the same sum over (direction, mass),
 exact for polytopes and a quadrature for smooth bodies.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,16 +28,22 @@ class SurfaceMeasure:
     """S(K, .) as masses at finitely many unit directions, with log h_K there.
 
     A polytope's masses are its facet areas and ``grid`` is None; a smooth
-    body's masses are the grid weights times f_K at the grid nodes."""
+    body's masses are the grid weights times f_K at the grid nodes.  The
+    directions belong to ``owner``, the grid or the polytope K."""
 
     directions: np.ndarray   # (m, n)
     masses: np.ndarray       # (m,)
     log_support: np.ndarray  # (m,)
+    owner: object = field(repr=False)
     grid: SphericalGrid | None = None
 
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
+
+    def log_support_of(self, Q: ConvexBody) -> np.ndarray:
+        """log h_Q at the directions, kept on Q (``_log_support``)."""
+        return _log_support(Q, self.directions, self.owner)
 
     def to_json(self) -> dict:
         if self.grid is None:
@@ -78,11 +84,10 @@ def _read_only(x):
 
 
 def _log_support(Q: ConvexBody, u: np.ndarray, owner) -> np.ndarray:
-    """log h_Q at the directions u of ``owner``, for any body Q: the nodes of
-    a grid for a smooth measure, the facet normals of a polytope K for an
-    atomic one.  It is taken and checked once per body and owner and kept
-    read-only on the body, which holds the owner weakly.  A sample that
-    fails is not kept, so it fails again on the next call."""
+    """log h_Q at the directions u of ``owner`` (a grid, or a polytope K at
+    its facet normals), for any body Q.  It is taken and checked once per
+    body and owner and kept read-only on the body, which holds the owner
+    weakly.  A sample that fails is not kept, so it fails again."""
     return Q._derived(
         "log support", lambda: _read_only(_log_values(Q.support(u), "support values")), owner)
 
@@ -104,11 +109,11 @@ def surface_measure(K: ConvexBody, grid: SphericalGrid | None = None) -> Surface
     raises UnsupportedError."""
     if isinstance(K, _Polytope):
         normals, offsets, areas = K.facet_data()
-        return SurfaceMeasure(normals, areas, _log_values(offsets, "support values"))
+        return SurfaceMeasure(normals, areas, _log_values(offsets, "support values"), K)
     if not has_curvature(K):
         raise UnsupportedError(f"no surface-area measure for {type(K).__name__}")
     grid, f, log_h = _grid_samples(K, grid)
-    return SurfaceMeasure(grid.nodes, grid.weights * f, log_h, grid)
+    return SurfaceMeasure(grid.nodes, grid.weights * f, log_h, grid, grid)
 
 
 def lp_curvature(K: ConvexBody, p: float, u):

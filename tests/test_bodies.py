@@ -162,6 +162,10 @@ def test_fourier_bipolar_node_exact(radial_solves):
     F = random_body("fourier2d", 2, seed=5)
     assert F.polar().polar() is F
     assert radial_solves == []
+    # the polar of a plain sampled body is sampled, and exact at its nodes
+    Sp = _eager_fourier_polar(F).polar()
+    u = np.column_stack([np.cos(Sp.thetas), np.sin(Sp.thetas)])
+    np.testing.assert_allclose(Sp.h_values, F.support(u), atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -927,6 +931,12 @@ def test_polar_of_a_linear_image_and_the_bipolar_of_a_fourier_body():
     np.testing.assert_array_equal(Kp.radial(u), want.radial(u))
     assert Kp.volume() == want.volume()
     assert F.polar().polar() is F
+    # read back from JSON the polar is a plain sampled body, whose polar is
+    # the eager polar's polar and exact at the nodes
+    bipolar = body_from_json(body_to_json(F.polar())).polar()
+    assert json.dumps(bipolar.to_json()) == json.dumps(ref.polar().to_json())
+    np.testing.assert_allclose(bipolar.h_values, F.support(
+        np.column_stack([np.cos(bipolar.thetas), np.sin(bipolar.thetas)])), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

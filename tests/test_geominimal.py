@@ -16,6 +16,7 @@ from geominima import (
     HPolytope,
     InputError,
     ShiftedBall,
+    VPolytope,
     affine_surface_area_p,
     ball,
     body_to_json,
@@ -222,11 +223,24 @@ def test_estimate_skips_the_support_family_past_twelve_facets():
     K = random_body("polytope-hull", 3, seed=1)
     assert K.facet_data()[0].shape[0] > 12
     est = estimate_gp(K, 1.0, restarts=2, maxiter=50)
-    # the fan family is the only search on a polytope, so no restart runs
-    # and K and B remain
-    assert est.trace == [{"family": "polytope-support", "skipped": "not applicable"}]
-    assert est.restarts_used == 0 and est.to_json()["restarts_used"] == 0
-    assert est.witness is K or est.witness is ball(3)
+    skipped = [e for e in est.trace if "skipped" in e]
+    assert len(skipped) == 1
+    assert set(skipped[0]) == {"family", "skipped"}
+    assert skipped[0]["family"] == "polytope-support"
+    families = {e["family"] for e in est.trace if "restart" in e}
+    assert families == {"ellipsoid"}
+
+
+def test_ellipsoids_stand_in_for_the_fan_past_twelve_facets():
+    # a regular 16-gon of circumradius 1 centered 0.9 from the origin: past
+    # the cap the ellipsoid search runs, and a centered ellipse beats K and B
+    t = TWO_PI * np.arange(16) / 16
+    K = VPolytope(np.column_stack([0.9 + np.cos(t), np.sin(t)]))
+    est = estimate_gp(K, 2.0, restarts=3)
+    assert est.restarts_used == 3
+    assert isinstance(est.witness, Ellipsoid)
+    assert est.value < 0.96 * min(est.objective_at_K, est.objective_at_B)
+    assert est.value <= 9.522916540390094 * (1 + 1e-9)   # what the ellipsoid search reaches
 
 
 def test_estimate_trace_records_restarts():
