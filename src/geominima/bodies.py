@@ -180,11 +180,16 @@ def _first_occurrences(m, near):
 
 
 def _facet_table(vertices):
-    """Hull vertices and facet (normal, offset, area) data; the areas are
-    exact for n in {2, 3} and None beyond.  In 3-D a facet is the set of
-    hull triangles on one qhull plane: qhull gives every triangle of a
-    merged facet the same plane, bit for bit, and triangles on nearly equal
-    but distinct planes stay separate facets."""
+    """Hull vertices, facet (normal, offset, area) data and the hull
+    triangles; the areas are exact for n in {2, 3} and None beyond.  In 3-D
+    a facet is the set of hull triangles on one qhull plane: qhull gives
+    every triangle of a merged facet the same plane, bit for bit, and
+    triangles on nearly equal but distinct planes stay separate facets.
+
+    The triangles are rows of indices into the hull vertices, in the order
+    qhull gives for those vertices alone.  That is this hull's order when
+    every point is a vertex, since 3-D hull vertices keep the input order;
+    otherwise, and outside 3-D, they are None."""
     vertices = np.asarray(vertices, dtype=float)
     dim = vertices.shape[1]
     try:
@@ -199,7 +204,7 @@ def _facet_table(vertices):
             raise InputError("repeated vertices in polygon")
         normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
         offsets = np.einsum("ij,ij->i", normals, vs)
-        return vs, normals, offsets, lengths
+        return vs, normals, offsets, lengths, None
     if dim == 3:
         normals, offsets = hull.equations[:, :3], -hull.equations[:, 3]
         a, b, c = (vertices[hull.simplices[:, i]] for i in range(3))
@@ -211,9 +216,10 @@ def _facet_table(vertices):
         keep = owner == np.arange(len(owner))
         # areas add up in simplex order
         areas = np.bincount(owner, weights=areas, minlength=len(owner))[keep]
-        return vertices[hull.vertices], normals[keep], offsets[keep], areas
+        triangles = hull.simplices if len(hull.vertices) == len(vertices) else None
+        return vertices[hull.vertices], normals[keep], offsets[keep], areas, triangles
     # beyond three dimensions there are no exact facet areas
-    return vertices[hull.vertices], hull.equations[:, :-1], -hull.equations[:, -1], None
+    return vertices[hull.vertices], hull.equations[:, :-1], -hull.equations[:, -1], None, None
 
 
 class _Polytope(ConvexBody):
@@ -223,9 +229,10 @@ class _Polytope(ConvexBody):
     _fnormals: np.ndarray
     _foffsets: np.ndarray
     _fareas: np.ndarray
+    _triangles: np.ndarray
 
     def _install_facets(self, vertices):
-        vs, normals, offsets, areas = _facet_table(vertices)
+        vs, normals, offsets, areas, triangles = _facet_table(vertices)
         scale = np.max(np.linalg.norm(vs, axis=1))
         if np.min(offsets) <= _BOUNDARY_RATIO * scale:
             raise DomainError("origin too close to the boundary (or outside)")
@@ -233,6 +240,7 @@ class _Polytope(ConvexBody):
         self._fnormals = normals
         self._foffsets = offsets
         self._fareas = areas
+        self._triangles = triangles
 
     def polar(self):
         # the vertices of the polar are the facet duals u_i / h_i
@@ -291,8 +299,11 @@ class _Polytope(ConvexBody):
             cy = np.sum((y + yn) * cross) / (6.0 * area)
             return np.array([cx, cy])
         if self.dim == 3:
-            # positively oriented cones over the hull's simplices, summed in order
-            tets = vs[ConvexHull(vs).simplices]
+            # positively oriented cones over the hull's triangles, summed in
+            # order; a body built from points inside its hull builds the hull
+            # of its vertices here
+            tris = self._triangles
+            tets = vs[ConvexHull(vs).simplices if tris is None else tris]
             vols = np.linalg.det(tets) / 6.0
             tets[vols < 0] = tets[vols < 0][:, [0, 2, 1]]
             vols = np.abs(vols)
@@ -330,7 +341,7 @@ class HPolytope(_Polytope):
         # the vertices are the facet duals of conv{u_i / h_i}; redundant u_i
         # drop out, and a family whose duals span no hull bounds nothing
         try:
-            _, w, b, _ = _facet_table(self.normals / self.offsets[:, None])
+            _, w, b, _, _ = _facet_table(self.normals / self.offsets[:, None])
             bounded = np.min(b) > 1e-12
         except InputError:
             bounded = False
@@ -495,13 +506,38 @@ def ShiftedBall(center, radius) -> Ellipsoid:
 # smooth planar bodies
 # ---------------------------------------------------------------------------
 
+def _grid_angles(n_nodes):
+    """The uniform angle grid 2 pi j / n_nodes, j < n_nodes."""
+    return 2.0 * math.pi * np.arange(n_nodes) / n_nodes
+
+
+def _cos_sin(theta, size):
+    """cos(k theta) and sin(k theta) for k < size, one row per angle."""
+    ang = np.multiply.outer(np.asarray(theta, dtype=float), np.arange(size, dtype=float))
+    return np.cos(ang), np.sin(ang)
+
+
+@lru_cache(maxsize=4)
+def _grid_table(n_nodes, size):
+    """``_cos_sin`` on the uniform grid of n_nodes angles, read-only: built on
+    first use and kept for the last four (nodes, coefficients) pairs; a
+    suite uses two."""
+    ct, st = _cos_sin(_grid_angles(n_nodes), size)
+    ct.flags.writeable = st.flags.writeable = False
+    return ct, st
+
+
 def _trig(a, b, theta, *orders):
     """[h^(order) for each order in orders], at most second derivatives, of
     h(t) = sum_k a_k cos(kt) + b_k sin(kt) at the angle(s) theta, from one
-    cos/sin evaluation."""
+    cos/sin evaluation.  An int theta = N stands for the uniform grid
+    ``_grid_angles(N)``, whose cos/sin table is kept, so the values are the
+    same bits as at those angles."""
     k = np.arange(a.shape[0], dtype=float)
-    ang = np.multiply.outer(np.asarray(theta, dtype=float), k)
-    ct, st = np.cos(ang), np.sin(ang)
+    if isinstance(theta, int):
+        ct, st = _grid_table(theta, a.shape[0])
+    else:
+        ct, st = _cos_sin(theta, a.shape[0])
     out = []
     for order in orders:
         if order == 0:
@@ -534,8 +570,7 @@ class FourierBody2D(ConvexBody):
         self.a = a
         self.b = b
         self.dim = 2
-        thetas = 2.0 * math.pi * np.arange(self._CHECK_N) / self._CHECK_N
-        h, h2 = _trig(a, b, thetas, 0, 2)
+        h, h2 = _trig(a, b, self._CHECK_N, 0, 2)
         if np.min(h) <= 0 or np.min(h) <= _BOUNDARY_RATIO * np.max(h):
             raise DomainError("origin too close to the boundary (support nearly vanishes)")
         if np.min(h + h2) < -1e-9 * np.max(np.abs(h)):
@@ -602,8 +637,8 @@ class FourierBody2D(ConvexBody):
         return FourierBody2D(a, b)
 
     def centroid(self):
-        thetas = 2.0 * math.pi * np.arange(self._CENTROID_N) / self._CENTROID_N
-        h, hp, h2 = _trig(self.a, self.b, thetas, 0, 1, 2)
+        thetas = _grid_angles(self._CENTROID_N)
+        h, hp, h2 = _trig(self.a, self.b, self._CENTROID_N, 0, 1, 2)
         fk = h + h2
         u = np.column_stack([np.cos(thetas), np.sin(thetas)])
         up = np.column_stack([-np.sin(thetas), np.cos(thetas)])
@@ -660,7 +695,7 @@ class SampledBody2D(ConvexBody):
         self.dim = 2
         self.rho_values = _sample_leg(rho, rho.size, radial=True)
         self.n_nodes = rho.shape[0]
-        self.thetas = 2.0 * math.pi * np.arange(self.n_nodes) / self.n_nodes
+        self.thetas = _grid_angles(self.n_nodes)
 
     def support(self, u):
         mat, single = _directions(u, 2)
@@ -709,8 +744,7 @@ class _FourierPolar(SampledBody2D):
 
     def __init__(self, body):
         self.body = body
-        thetas = 2.0 * math.pi * np.arange(self._NODES) / self._NODES
-        self._set_radial(1.0 / body.support_angle(thetas))
+        self._set_radial(1.0 / _trig(body.a, body.b, self._NODES, 0)[0])
 
     def polar(self):
         return self.body
@@ -913,9 +947,8 @@ def _random_fourier(n, size, rng):
     for k in range(2, kmax + 1):
         a[k] = rng.normal(0.0, 0.15 / k ** 2)
         b[k] = rng.normal(0.0, 0.15 / k ** 2)
-    thetas = 2.0 * math.pi * np.arange(2048) / 2048
     for _ in range(100):
-        h, h2 = _trig(a, b, thetas, 0, 2)
+        h, h2 = _trig(a, b, 2048, 0, 2)
         if np.min(h) > 0 and np.min(h + h2) >= 0.01 * np.min(h):
             return FourierBody2D(a, b)
         a[2:] *= 0.8

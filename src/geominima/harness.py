@@ -178,16 +178,26 @@ def suite_bodies(config: HarnessConfig, dim: int) -> dict:
 # estimate cache with volume-product fallback
 # ---------------------------------------------------------------------------
 
+def _unsigned_zeros(x):
+    """x, a JSON value, with every -0.0 in it read as 0.0."""
+    if isinstance(x, dict):
+        return {key: _unsigned_zeros(value) for key, value in x.items()}
+    if isinstance(x, list):
+        return [_unsigned_zeros(value) for value in x]
+    return x + 0.0 if isinstance(x, float) else x
+
+
 def _body_key(K: ConvexBody):
     """Content key: a polytope's sorted vertex rows, a Fourier polar's parent,
-    else its JSON.  A body with no JSON form is its own key; the cache keeps
-    it, so no id is reused."""
+    else its JSON.  -0.0 and 0.0 are one value, so the polar of the square
+    and the cross polytope share a key.  A body with no JSON form is its own
+    key; the cache keeps it, so no id is reused."""
     if isinstance(K, _Polytope):
-        return K.dim, np.unique(K.vertices, axis=0).tobytes()
+        return K.dim, (np.unique(K.vertices, axis=0) + 0.0).tobytes()
     if isinstance(K, _FourierPolar):
         return "polar", _body_key(K.body)
     try:
-        return json.dumps(K.to_json(), sort_keys=True)
+        return json.dumps(_unsigned_zeros(K.to_json()), sort_keys=True)
     except (UnsupportedError, GeominimaError):
         return K
 
@@ -278,11 +288,21 @@ def _instance(body=None, name="", **params) -> dict:
     return inst
 
 
+_CENTERED_TOL = 1e-12
+"""A centroid c with |c| <= _CENTERED_TOL * |K|^(1/n) is the origin up to
+rounding.  In units of |K|^(1/n), the bodies of the default suites at seeds
+0, 5 and 21 that are centered by construction have |c| <= 1.6e-16, and the
+others |c| >= 1.4e-3."""
+
+
 def _center_at_centroid(K: ConvexBody):
-    """K moved to put its centroid at the origin; the same object on every call."""
+    """K moved to put its centroid at the origin, or K itself when its
+    centroid is the origin up to rounding (``_CENTERED_TOL``); the same
+    object on every call."""
     def center():
         c = K.centroid()
-        return K if np.linalg.norm(c) == 0.0 else K.translate(c)
+        tol = _CENTERED_TOL * K.volume() ** (1.0 / K.dim)
+        return K if np.linalg.norm(c) <= tol else K.translate(c)
     return K._derived("centered", center)
 
 

@@ -350,6 +350,44 @@ def test_centroid_3d_matches_simplex_loop_bit_for_bit():
     np.testing.assert_array_equal(K.polar().centroid(), _centroid_3d_loop(K.polar().vertices))
 
 
+def test_centroid_3d_reuses_the_hull_of_construction(calls):
+    import geominima.bodies as bodies
+    K = random_body("polytope-hull", 3, seed=42)
+    P = K.polar()
+    hulls = calls(bodies, "ConvexHull", arg=0)
+    K.centroid(), P.centroid()
+    assert hulls == []
+    # points inside the hull: the centroid takes the hull of the vertices
+    rng = np.random.default_rng(3)
+    V = VPolytope(np.vstack([rng.standard_normal((30, 3)), 0.01 * np.eye(3)]))
+    assert len(V.vertices) < 33
+    hulls.clear()
+    V.centroid()
+    assert hulls == [len(V.vertices)]
+
+
+@pytest.mark.parametrize("n_nodes", [2048, 4096])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_grid_trig_is_the_direct_formula_bit_for_bit(n_nodes, order):
+    from geominima.bodies import _grid_table, _trig
+    rng = np.random.default_rng(n_nodes + order)
+    a, b = rng.standard_normal(11), rng.standard_normal(11)
+    theta = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
+    k = np.arange(11, dtype=float)
+    ct, st = np.cos(np.outer(theta, k)), np.sin(np.outer(theta, k))
+    direct = [ct @ a + st @ b, (-st * k) @ a + (ct * k) @ b,
+              -(ct * k ** 2) @ a - (st * k ** 2) @ b][order]
+    for _ in range(2):    # the table is built on the first call, then read
+        assert np.array_equal(_trig(a, b, n_nodes, order)[0], direct)
+    assert np.array_equal(_trig(a, b, theta, order)[0], direct)
+    table = _grid_table(n_nodes, 11)
+    assert table is _grid_table(n_nodes, 11)
+    for arr in table:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 2.0
+
+
 def test_santalo_point_symmetric_bodies():
     np.testing.assert_allclose(santalo_point(ball(2)), 0.0)
     np.testing.assert_allclose(santalo_point(Ellipsoid(np.diag([3.0, 1.0]))), 0.0)

@@ -31,7 +31,9 @@ from geominima import (
     run_suite,
     unit_ball_volume,
 )
-from geominima.harness import _GpCache, _body_key, _center_at_centroid, _one_sided
+from geominima import harness
+from geominima.grids import default_grid
+from geominima.harness import _GpCache, _body_key, _center_at_centroid, _one_sided, suite_bodies
 
 TWO_PI = 2 * math.pi
 
@@ -418,6 +420,63 @@ def test_centered_body_is_kept_on_the_body():
         assert _center_at_centroid(K) is _center_at_centroid(K)
     K = ball(2)
     assert _center_at_centroid(K) is K
+
+
+def test_body_key_reads_signed_zeros_as_one_value():
+    # the polars carry -0.0 where the canonical twins carry 0.0
+    for dim, body, twin in ((2, "square", "cross2"), (3, "cube", "octahedron")):
+        bodies = canonical_bodies(dim)
+        P, Q = bodies[body].polar(), bodies[twin]
+        assert np.signbit(P.vertices[P.vertices == 0]).any()
+        assert _body_key(P) == _body_key(Q)
+    # the JSON branch as well
+    assert _body_key(Ellipsoid([[2.0, -0.0], [-0.0, 1.0]])) == \
+        _body_key(Ellipsoid([[2.0, 0.0], [0.0, 1.0]]))
+    assert _body_key(Ellipsoid(np.eye(2), [0.3, -0.0])) == \
+        _body_key(Ellipsoid(np.eye(2), [0.3, 0.0]))
+    assert _body_key(Ellipsoid(np.eye(2), [0.3, 0.0])) != \
+        _body_key(Ellipsoid(np.eye(2), [0.3, 1e-300]))
+
+
+def test_centroid_at_rounding_level_counts_as_centered():
+    cfg = HarnessConfig()
+    hulls = [K for dim in cfg.dims for name, K in suite_bodies(cfg, dim).items()
+             if name.startswith("random-polytope-hull")]
+    octahedron = canonical_bodies(3)["octahedron"]
+    assert len(hulls) == 4 and octahedron.centroid().any()
+    for K in hulls + [octahedron]:
+        assert _center_at_centroid(K) is K
+
+
+def test_off_centre_bodies_are_still_translated():
+    cfg = HarnessConfig()
+    hull = suite_bodies(cfg, 3)["random-polytope-hull-3d-0"].translate([1e-3, 0.0, 0.0])
+    for K in (canonical_bodies(2)["shifted-ball2"],
+              suite_bodies(cfg, 2)["random-fourier2d-2d-0"], hull):
+        C = _center_at_centroid(K)
+        assert C is not K
+        assert np.linalg.norm(C.centroid()) <= 1e-12
+
+
+def test_reduced_suite_estimates_each_body_once_per_order(monkeypatch):
+    estimated, estimate = [], harness.estimate_gp
+
+    def recorded(K, p, **kwargs):
+        estimated.append((K, p))
+        return estimate(K, p, **kwargs)
+
+    monkeypatch.setattr(harness, "estimate_gp", recorded)
+    cfg = HarnessConfig(dims=(3,), p_grid=(-4.0, 0.5), n_random=1, grid_resolution=512,
+                        checks=("volume_product", "santalo_style", "isoperimetric"))
+    assert run_suite(cfg).exit_status == 0
+    # two bodies are one when their supports agree to 1e-12
+    U = default_grid(3, 512).nodes
+
+    def same(a, b):
+        return a[1] == b[1] and np.max(np.abs(a[0].support(U) - b[0].support(U))) <= 1e-12
+
+    assert len(estimated) > 0
+    assert not any(same(a, b) for i, a in enumerate(estimated) for b in estimated[:i])
 
 
 def test_santalo_style_solves_a_fourier_polar_once_across_orders(radial_solves):
