@@ -179,23 +179,22 @@ def _first_occurrences(m, near):
     return owner
 
 
-def _facet_table(vertices):
-    """Hull vertices, facet (normal, offset, area) data and the hull
-    triangles; the areas are exact for n in {2, 3} and None beyond.  In 3-D
-    a facet is the set of hull triangles on one qhull plane: qhull gives
-    every triangle of a merged facet the same plane, bit for bit, and
-    triangles on nearly equal but distinct planes stay separate facets.
-
-    The triangles are rows of indices into the hull vertices, in the order
-    qhull gives for those vertices alone.  That is this hull's order when
-    every point is a vertex, since 3-D hull vertices keep the input order;
-    otherwise, and outside 3-D, they are None."""
-    vertices = np.asarray(vertices, dtype=float)
-    dim = vertices.shape[1]
+def _hull(points):
+    """ConvexHull(points); degenerate points are an InputError."""
     try:
-        hull = ConvexHull(vertices)
+        return ConvexHull(np.asarray(points, dtype=float))
     except (QhullError, ValueError) as exc:
         raise InputError(f"degenerate vertex set: {exc}") from exc
+
+
+def _facet_table(hull):
+    """Hull vertices and facet (normal, offset, area) data; the areas are
+    exact for n in {2, 3} and None beyond.  In 3-D a facet is the set of
+    hull triangles on one qhull plane: qhull gives every triangle of a
+    merged facet the same plane, bit for bit, and triangles on nearly equal
+    but distinct planes stay separate facets."""
+    vertices = hull.points
+    dim = vertices.shape[1]
     if dim == 2:
         vs = vertices[hull.vertices]            # counterclockwise
         edges = np.roll(vs, -1, axis=0) - vs
@@ -204,7 +203,7 @@ def _facet_table(vertices):
             raise InputError("repeated vertices in polygon")
         normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
         offsets = np.einsum("ij,ij->i", normals, vs)
-        return vs, normals, offsets, lengths, None
+        return vs, normals, offsets, lengths
     if dim == 3:
         normals, offsets = hull.equations[:, :3], -hull.equations[:, 3]
         a, b, c = (vertices[hull.simplices[:, i]] for i in range(3))
@@ -216,10 +215,9 @@ def _facet_table(vertices):
         keep = owner == np.arange(len(owner))
         # areas add up in simplex order
         areas = np.bincount(owner, weights=areas, minlength=len(owner))[keep]
-        triangles = hull.simplices if len(hull.vertices) == len(vertices) else None
-        return vertices[hull.vertices], normals[keep], offsets[keep], areas, triangles
+        return vertices[hull.vertices], normals[keep], offsets[keep], areas
     # beyond three dimensions there are no exact facet areas
-    return vertices[hull.vertices], hull.equations[:, :-1], -hull.equations[:, -1], None, None
+    return vertices[hull.vertices], hull.equations[:, :-1], -hull.equations[:, -1], None
 
 
 class _Polytope(ConvexBody):
@@ -232,7 +230,8 @@ class _Polytope(ConvexBody):
     _triangles: np.ndarray
 
     def _install_facets(self, vertices):
-        vs, normals, offsets, areas, triangles = _facet_table(vertices)
+        hull = _hull(vertices)
+        vs, normals, offsets, areas = _facet_table(hull)
         scale = np.max(np.linalg.norm(vs, axis=1))
         if np.min(offsets) <= _BOUNDARY_RATIO * scale:
             raise DomainError("origin too close to the boundary (or outside)")
@@ -240,7 +239,11 @@ class _Polytope(ConvexBody):
         self._fnormals = normals
         self._foffsets = offsets
         self._fareas = areas
-        self._triangles = triangles
+        # the 3-D centroid's cones: when every point is a vertex, the hull
+        # vertices keep the input order, so these are the triangles of a
+        # hull of the vertices alone, in its order
+        every_point = len(hull.vertices) == len(hull.points)
+        self._triangles = hull.simplices if self.dim == 3 and every_point else None
 
     def polar(self):
         # the vertices of the polar are the facet duals u_i / h_i
@@ -341,7 +344,7 @@ class HPolytope(_Polytope):
         # the vertices are the facet duals of conv{u_i / h_i}; redundant u_i
         # drop out, and a family whose duals span no hull bounds nothing
         try:
-            _, w, b, _, _ = _facet_table(self.normals / self.offsets[:, None])
+            _, w, b, _ = _facet_table(_hull(self.normals / self.offsets[:, None]))
             bounded = np.min(b) > 1e-12
         except InputError:
             bounded = False
@@ -530,14 +533,19 @@ def _grid_table(n_nodes, size):
 def _trig(a, b, theta, *orders):
     """[h^(order) for each order in orders], at most second derivatives, of
     h(t) = sum_k a_k cos(kt) + b_k sin(kt) at the angle(s) theta, from one
-    cos/sin evaluation.  An int theta = N stands for the uniform grid
-    ``_grid_angles(N)``, whose cos/sin table is kept, so the values are the
-    same bits as at those angles."""
+    cos/sin evaluation."""
+    return _trig_sums(a, b, *_cos_sin(theta, a.shape[0]), *orders)
+
+
+def _grid_trig(a, b, n_nodes, *orders):
+    """``_trig`` at the uniform grid ``_grid_angles(n_nodes)``, from its kept
+    cos/sin table; the values are the same bits."""
+    return _trig_sums(a, b, *_grid_table(n_nodes, a.shape[0]), *orders)
+
+
+def _trig_sums(a, b, ct, st, *orders):
+    """The sums of ``_trig`` from ct = cos(k t) and st = sin(k t)."""
     k = np.arange(a.shape[0], dtype=float)
-    if isinstance(theta, int):
-        ct, st = _grid_table(theta, a.shape[0])
-    else:
-        ct, st = _cos_sin(theta, a.shape[0])
     out = []
     for order in orders:
         if order == 0:
@@ -570,7 +578,7 @@ class FourierBody2D(ConvexBody):
         self.a = a
         self.b = b
         self.dim = 2
-        h, h2 = _trig(a, b, self._CHECK_N, 0, 2)
+        h, h2 = _grid_trig(a, b, self._CHECK_N, 0, 2)
         if np.min(h) <= 0 or np.min(h) <= _BOUNDARY_RATIO * np.max(h):
             raise DomainError("origin too close to the boundary (support nearly vanishes)")
         if np.min(h + h2) < -1e-9 * np.max(np.abs(h)):
@@ -638,7 +646,7 @@ class FourierBody2D(ConvexBody):
 
     def centroid(self):
         thetas = _grid_angles(self._CENTROID_N)
-        h, hp, h2 = _trig(self.a, self.b, self._CENTROID_N, 0, 1, 2)
+        h, hp, h2 = _grid_trig(self.a, self.b, self._CENTROID_N, 0, 1, 2)
         fk = h + h2
         u = np.column_stack([np.cos(thetas), np.sin(thetas)])
         up = np.column_stack([-np.sin(thetas), np.cos(thetas)])
@@ -744,7 +752,7 @@ class _FourierPolar(SampledBody2D):
 
     def __init__(self, body):
         self.body = body
-        self._set_radial(1.0 / _trig(body.a, body.b, self._NODES, 0)[0])
+        self._set_radial(1.0 / _grid_trig(body.a, body.b, self._NODES, 0)[0])
 
     def polar(self):
         return self.body
@@ -948,7 +956,7 @@ def _random_fourier(n, size, rng):
         a[k] = rng.normal(0.0, 0.15 / k ** 2)
         b[k] = rng.normal(0.0, 0.15 / k ** 2)
     for _ in range(100):
-        h, h2 = _trig(a, b, 2048, 0, 2)
+        h, h2 = _grid_trig(a, b, 2048, 0, 2)
         if np.min(h) > 0 and np.min(h + h2) >= 0.01 * np.min(h):
             return FourierBody2D(a, b)
         a[2:] *= 0.8

@@ -303,23 +303,16 @@ def test_estimate_rejects_negative_restarts(ball_file, capsys):
                          "--restarts", "-1"], capsys)
 
 
-def test_compute_on_a_fourier_body_makes_four_trig_passes(tmp_path, monkeypatch):
+def test_compute_on_a_fourier_body_makes_four_trig_passes(tmp_path, calls):
     path = tmp_path / "fourier.json"
     path.write_text(json.dumps(bodies.random_body("fourier2d", 2, seed=5).to_json()))
-    # a uniform grid reaches _trig as its node count, so count the values
-    trig, passes = bodies._trig, []
-
-    def counted(*args):
-        out = trig(*args)
-        passes.append(len(out[0]))
-        return out
-
-    monkeypatch.setattr(bodies, "_trig", counted)
+    # every pass, at given angles or on a kept grid table, sums in _trig_sums
+    trig = calls(bodies, "_trig_sums", arg=2)
     assert main(["compute", "--body", str(path),
                  "--quantities", "volume,polar_volume,mahler,vp,sp,asp,in_vp",
                  "--p=-4,-1.5,-0.5,0,1,2", "--out", str(tmp_path / "out.json")]) == 0
     # the convexity check, the polar's radial samples, then f_K and h_K on the grid
-    assert passes == [2048, 4096, 4096, 4096]
+    assert trig == [2048, 4096, 4096, 4096]
 
 
 def test_one_parser_serves_repeated_compute_calls(tmp_path):
