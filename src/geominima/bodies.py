@@ -509,43 +509,13 @@ def ShiftedBall(center, radius) -> Ellipsoid:
 # smooth planar bodies
 # ---------------------------------------------------------------------------
 
-def _grid_angles(n_nodes):
-    """The uniform angle grid 2 pi j / n_nodes, j < n_nodes."""
-    return 2.0 * math.pi * np.arange(n_nodes) / n_nodes
-
-
-def _cos_sin(theta, size):
-    """cos(k theta) and sin(k theta) for k < size, one row per angle."""
-    ang = np.multiply.outer(np.asarray(theta, dtype=float), np.arange(size, dtype=float))
-    return np.cos(ang), np.sin(ang)
-
-
-@lru_cache(maxsize=4)
-def _grid_table(n_nodes, size):
-    """``_cos_sin`` on the uniform grid of n_nodes angles, read-only: built on
-    first use and kept for the last four (nodes, coefficients) pairs; a
-    suite uses two."""
-    ct, st = _cos_sin(_grid_angles(n_nodes), size)
-    ct.flags.writeable = st.flags.writeable = False
-    return ct, st
-
-
 def _trig(a, b, theta, *orders):
     """[h^(order) for each order in orders], at most second derivatives, of
     h(t) = sum_k a_k cos(kt) + b_k sin(kt) at the angle(s) theta, from one
     cos/sin evaluation."""
-    return _trig_sums(a, b, *_cos_sin(theta, a.shape[0]), *orders)
-
-
-def _grid_trig(a, b, n_nodes, *orders):
-    """``_trig`` at the uniform grid ``_grid_angles(n_nodes)``, from its kept
-    cos/sin table; the values are the same bits."""
-    return _trig_sums(a, b, *_grid_table(n_nodes, a.shape[0]), *orders)
-
-
-def _trig_sums(a, b, ct, st, *orders):
-    """The sums of ``_trig`` from ct = cos(k t) and st = sin(k t)."""
     k = np.arange(a.shape[0], dtype=float)
+    ang = np.multiply.outer(np.asarray(theta, dtype=float), k)
+    ct, st = np.cos(ang), np.sin(ang)
     out = []
     for order in orders:
         if order == 0:
@@ -578,7 +548,8 @@ class FourierBody2D(ConvexBody):
         self.a = a
         self.b = b
         self.dim = 2
-        h, h2 = _grid_trig(a, b, self._CHECK_N, 0, 2)
+        thetas = 2.0 * math.pi * np.arange(self._CHECK_N) / self._CHECK_N
+        h, h2 = _trig(a, b, thetas, 0, 2)
         if np.min(h) <= 0 or np.min(h) <= _BOUNDARY_RATIO * np.max(h):
             raise DomainError("origin too close to the boundary (support nearly vanishes)")
         if np.min(h + h2) < -1e-9 * np.max(np.abs(h)):
@@ -645,8 +616,8 @@ class FourierBody2D(ConvexBody):
         return FourierBody2D(a, b)
 
     def centroid(self):
-        thetas = _grid_angles(self._CENTROID_N)
-        h, hp, h2 = _grid_trig(self.a, self.b, self._CENTROID_N, 0, 1, 2)
+        thetas = 2.0 * math.pi * np.arange(self._CENTROID_N) / self._CENTROID_N
+        h, hp, h2 = _trig(self.a, self.b, thetas, 0, 1, 2)
         fk = h + h2
         u = np.column_stack([np.cos(thetas), np.sin(thetas)])
         up = np.column_stack([-np.sin(thetas), np.cos(thetas)])
@@ -703,7 +674,7 @@ class SampledBody2D(ConvexBody):
         self.dim = 2
         self.rho_values = _sample_leg(rho, rho.size, radial=True)
         self.n_nodes = rho.shape[0]
-        self.thetas = _grid_angles(self.n_nodes)
+        self.thetas = 2.0 * math.pi * np.arange(self.n_nodes) / self.n_nodes
 
     def support(self, u):
         mat, single = _directions(u, 2)
@@ -752,7 +723,8 @@ class _FourierPolar(SampledBody2D):
 
     def __init__(self, body):
         self.body = body
-        self._set_radial(1.0 / _grid_trig(body.a, body.b, self._NODES, 0)[0])
+        thetas = 2.0 * math.pi * np.arange(self._NODES) / self._NODES
+        self._set_radial(1.0 / body.support_angle(thetas))
 
     def polar(self):
         return self.body
@@ -955,8 +927,9 @@ def _random_fourier(n, size, rng):
     for k in range(2, kmax + 1):
         a[k] = rng.normal(0.0, 0.15 / k ** 2)
         b[k] = rng.normal(0.0, 0.15 / k ** 2)
+    thetas = 2.0 * math.pi * np.arange(2048) / 2048
     for _ in range(100):
-        h, h2 = _grid_trig(a, b, 2048, 0, 2)
+        h, h2 = _trig(a, b, thetas, 0, 2)
         if np.min(h) > 0 and np.min(h + h2) >= 0.01 * np.min(h):
             return FourierBody2D(a, b)
         a[2:] *= 0.8

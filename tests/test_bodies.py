@@ -366,28 +366,6 @@ def test_centroid_3d_reuses_the_hull_of_construction(calls):
     assert hulls == [len(V.vertices)]
 
 
-@pytest.mark.parametrize("n_nodes", [2048, 4096])
-@pytest.mark.parametrize("order", [0, 1, 2])
-def test_grid_trig_is_the_direct_formula_bit_for_bit(n_nodes, order):
-    from geominima.bodies import _grid_table, _grid_trig, _trig
-    rng = np.random.default_rng(n_nodes + order)
-    a, b = rng.standard_normal(11), rng.standard_normal(11)
-    theta = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
-    k = np.arange(11, dtype=float)
-    ct, st = np.cos(np.outer(theta, k)), np.sin(np.outer(theta, k))
-    direct = [ct @ a + st @ b, (-st * k) @ a + (ct * k) @ b,
-              -(ct * k ** 2) @ a - (st * k ** 2) @ b][order]
-    for _ in range(2):    # the table is built on the first call, then read
-        assert np.array_equal(_grid_trig(a, b, n_nodes, order)[0], direct)
-    assert np.array_equal(_trig(a, b, theta, order)[0], direct)
-    table = _grid_table(n_nodes, 11)
-    assert table is _grid_table(n_nodes, 11)
-    for arr in table:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0, 0] = 2.0
-
-
 def test_support_angle_reads_an_int_as_an_angle():
     F = random_body("fourier2d", 2, seed=5)
     for theta in (0, 1, 2):

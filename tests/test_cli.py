@@ -306,8 +306,7 @@ def test_estimate_rejects_negative_restarts(ball_file, capsys):
 def test_compute_on_a_fourier_body_makes_four_trig_passes(tmp_path, calls):
     path = tmp_path / "fourier.json"
     path.write_text(json.dumps(bodies.random_body("fourier2d", 2, seed=5).to_json()))
-    # every pass, at given angles or on a kept grid table, sums in _trig_sums
-    trig = calls(bodies, "_trig_sums", arg=2)
+    trig = calls(bodies, "_trig", arg=2)
     assert main(["compute", "--body", str(path),
                  "--quantities", "volume,polar_volume,mahler,vp,sp,asp,in_vp",
                  "--p=-4,-1.5,-0.5,0,1,2", "--out", str(tmp_path / "out.json")]) == 0
