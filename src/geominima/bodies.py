@@ -527,6 +527,22 @@ def _trig(a, b, theta, *orders):
     return out
 
 
+def _grid_trig(a, b, n_nodes, *orders):
+    """_trig at the n_nodes angles t_j = 2 pi j / n_nodes, from one inverse
+    real FFT per order.  h_j = Re sum_k c_k e^{i k t_j} with c_k = a_k - i b_k,
+    each derivative multiplying c_k by ik, is a real signal whose spectrum
+    holds c_k / 2 at k and its conjugate at -k, both taken mod n_nodes."""
+    k = np.arange(a.shape[0])
+    out = []
+    for order in orders:
+        c = 0.5 * (1j * k) ** order * (a - 1j * b)
+        spec = np.zeros(n_nodes, dtype=complex)
+        np.add.at(spec, k % n_nodes, c)
+        np.add.at(spec, -k % n_nodes, c.conj())
+        out.append(np.fft.irfft(spec[: n_nodes // 2 + 1], n_nodes, norm="forward"))
+    return out
+
+
 class FourierBody2D(ConvexBody):
     """Planar body given by a trigonometric support expansion
     h(t) = sum_k a_k cos(kt) + b_k sin(kt).
@@ -548,8 +564,7 @@ class FourierBody2D(ConvexBody):
         self.a = a
         self.b = b
         self.dim = 2
-        thetas = 2.0 * math.pi * np.arange(self._CHECK_N) / self._CHECK_N
-        h, h2 = _trig(a, b, thetas, 0, 2)
+        h, h2 = _grid_trig(a, b, self._CHECK_N, 0, 2)
         if np.min(h) <= 0 or np.min(h) <= _BOUNDARY_RATIO * np.max(h):
             raise DomainError("origin too close to the boundary (support nearly vanishes)")
         if np.min(h + h2) < -1e-9 * np.max(np.abs(h)):
@@ -617,7 +632,7 @@ class FourierBody2D(ConvexBody):
 
     def centroid(self):
         thetas = 2.0 * math.pi * np.arange(self._CENTROID_N) / self._CENTROID_N
-        h, hp, h2 = _trig(self.a, self.b, thetas, 0, 1, 2)
+        h, hp, h2 = _grid_trig(self.a, self.b, self._CENTROID_N, 0, 1, 2)
         fk = h + h2
         u = np.column_stack([np.cos(thetas), np.sin(thetas)])
         up = np.column_stack([-np.sin(thetas), np.cos(thetas)])
@@ -723,8 +738,7 @@ class _FourierPolar(SampledBody2D):
 
     def __init__(self, body):
         self.body = body
-        thetas = 2.0 * math.pi * np.arange(self._NODES) / self._NODES
-        self._set_radial(1.0 / body.support_angle(thetas))
+        self._set_radial(1.0 / _grid_trig(body.a, body.b, self._NODES, 0)[0])
 
     def polar(self):
         return self.body
@@ -927,9 +941,8 @@ def _random_fourier(n, size, rng):
     for k in range(2, kmax + 1):
         a[k] = rng.normal(0.0, 0.15 / k ** 2)
         b[k] = rng.normal(0.0, 0.15 / k ** 2)
-    thetas = 2.0 * math.pi * np.arange(2048) / 2048
     for _ in range(100):
-        h, h2 = _trig(a, b, thetas, 0, 2)
+        h, h2 = _grid_trig(a, b, 2048, 0, 2)
         if np.min(h) > 0 and np.min(h + h2) >= 0.01 * np.min(h):
             return FourierBody2D(a, b)
         a[2:] *= 0.8

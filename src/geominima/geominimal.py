@@ -27,7 +27,7 @@ gives the same objective to the quadrature tolerance.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -41,7 +41,6 @@ from .bodies import (
     _count,
     _Polytope,
     ball,
-    is_centered_ellipsoid,
 )
 from .errors import DomainError, InputError
 from .functionals import _finite_order, _guard_order, log_objective, logsumexp
@@ -99,6 +98,7 @@ class EllipsoidFamily:
 
     name = "ellipsoid"
     stream = 0      # the restart seeds are SeedSequence([seed, stream])
+    spread = 0.5    # the scale of the random starts
 
     def __init__(self, dim):
         self.dim = dim
@@ -111,16 +111,6 @@ class EllipsoidFamily:
         L[self._diag_idx, self._diag_idx] = np.exp(x[: self.dim])
         L[self._rows, self._cols] = x[self.dim:]
         return L
-
-    def initial_points(self, K, restarts, rng):
-        points = [np.zeros(self.n_params)]
-        if is_centered_ellipsoid(K):
-            L = np.linalg.cholesky(K.matrix @ K.matrix.T)
-            x = np.concatenate([np.log(np.diag(L)), L[self._rows, self._cols]])
-            points.append(x)
-        while len(points) < restarts:
-            points.append(rng.normal(0.0, 0.5, self.n_params))
-        return points[:restarts]
 
     def evaluate(self, x, u):
         """(log support at the directions u, log polar volume)."""
@@ -156,6 +146,7 @@ class PolytopeSupportFamily:
 
     name = "polytope-support"
     stream = 1
+    spread = 0.3
 
     def __init__(self, K):
         if not isinstance(K, _Polytope):
@@ -163,12 +154,6 @@ class PolytopeSupportFamily:
         self.normals, self.h0, _ = K.facet_data()
         self.dim = K.dim
         self.n_params = self.normals.shape[0]
-
-    def initial_points(self, K, restarts, rng):
-        points = [np.zeros(self.n_params)]
-        while len(points) < restarts:
-            points.append(rng.normal(0.0, 0.3, self.n_params))
-        return points[:restarts]
 
     def build(self, x):
         return HPolytope(self.normals, self.h0 * np.exp(x))
@@ -258,7 +243,11 @@ def estimate_gp(K: ConvexBody, p: float, restarts: int = 8, seed: int = 0,
     ellipsoids for a smooth K and, past _MAX_SUPPORT_FAMILY_FACETS facets,
     for a polytope.  Deterministic for a fixed seed: each family has its own
     seed stream.  A polytope at p < 0 gets a thin centered ellipsoid with no
-    search, admissible also where Q must be origin-symmetric."""
+    search, admissible also where Q must be origin-symmetric.
+
+    A quadric K = c + A B is searched in its normal form A^{-1} K, the unit
+    ball or a shifted unit ball, and the result is mapped back by A
+    (_from_normal_form); B stays a fixed candidate in K's own frame."""
     n = K.dim
     _guard_order(p, n)
     _count(restarts, "restarts")
@@ -273,6 +262,43 @@ def estimate_gp(K: ConvexBody, p: float, restarts: int = 8, seed: int = 0,
                           objective_at_K=value, objective_at_B=value,
                           restarts_used=0, trace=[{"note": "p = 0 collapses the objective"}])
 
+    Kn = _normal_form(K) if isinstance(K, Ellipsoid) else K
+    est = _search(Kn, p, restarts, seed, grid, maxiter)
+    return est if Kn is K else _from_normal_form(K, Kn, est, grid)
+
+
+def _normal_form(K: Ellipsoid) -> Ellipsoid:
+    """A^{-1} K for the quadric K = c + A B: ``ball(n)`` when c = 0, else the
+    unit ball about A^{-1} c, kept on K, so its samples serve every order;
+    K itself when A is the identity."""
+    n = K.dim
+    if np.array_equal(K.matrix, np.eye(n)):
+        return K
+    if not K.center.any():
+        return ball(n)
+    return K._derived("normal form", lambda: Ellipsoid(np.eye(n), K._q))
+
+
+def _from_normal_form(K: Ellipsoid, Kn: Ellipsoid, est: GpEstimate, grid) -> GpEstimate:
+    """The estimate of K = A Kn from ``est``, the estimate of its normal form
+    Kn.  J(AK, AQ) = |det A|^{(n-p)/(n+p)} J(K, Q) scales the value and the
+    objective at K, and maps the witness by A.  B stays a fixed candidate,
+    evaluated in K's own frame on the grid, the quadrature p_surface_area(K)
+    uses; A^{-1} B in the normal frame is another quadrature of it."""
+    n, p = K.dim, est.p
+    scale = K._det ** ((n - p) / (n + p))
+    witness = K if est.witness is Kn else est.witness.linear_map(K.matrix)
+    unit = ball(n)
+    at_b = math.exp(_Evaluator(K, p, grid).log_objective_body(unit))
+    value, witness = min((scale * est.value, witness), (at_b, unit),
+                         key=lambda c: c[0] if p > 0 else -c[0])
+    return replace(est, value=value, witness=witness, objective_at_B=at_b,
+                   objective_at_K=scale * est.objective_at_K)
+
+
+def _search(K, p, restarts, seed, grid, maxiter):
+    """estimate_gp's search on K at p != 0; the caller checks the arguments."""
+    n = K.dim
     ev = _Evaluator(K, p, grid)
     sign = 1.0 if p > 0 else -1.0
 
@@ -297,7 +323,8 @@ def estimate_gp(K: ConvexBody, p: float, restarts: int = 8, seed: int = 0,
     elif isinstance(K, _Polytope):
         fam = PolytopeSupportFamily(K)
     rng = np.random.default_rng(np.random.SeedSequence([seed, fam.stream]))
-    starts = fam.initial_points(K, restarts, rng)
+    starts = [rng.normal(0.0, fam.spread, fam.n_params) if i else np.zeros(fam.n_params)
+              for i in range(restarts)]
 
     fine = None
     for ridx, x0 in enumerate(starts):

@@ -32,6 +32,7 @@ from .bodies import (
     ShiftedBall,
     VPolytope,
     _FourierPolar,
+    _grid_trig,
     _Polytope,
     _count,
     ball,
@@ -42,7 +43,13 @@ from .bodies import (
 )
 from .errors import DomainError, GeominimaError, InputError, UnsupportedError
 from .functionals import holder_cyclic_check, log_objective, mahler, p_surface_area
-from .geominimal import estimate_gp, gp_ball_shifted, gp_objective
+from .geominimal import (
+    _from_normal_form,
+    _normal_form,
+    estimate_gp,
+    gp_ball_shifted,
+    gp_objective,
+)
 from .grids import default_grid, unit_ball_volume
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
@@ -213,14 +220,17 @@ class _GpRecord:
 class _GpCache:
     """Caches one-sided values of the geominimal functional per (body, p).
 
-    Bodies the optimizer cannot handle (sampled polars) fall back to the
-    objective at Q = K, computed from volumes alone, which is a valid bound
-    on the same side.
+    A quadric's value comes from the estimate of its normal form, kept per
+    (normal form, p), so all centered ellipsoids of one dimension share one
+    search of the unit ball per order.  Bodies the optimizer cannot handle
+    (sampled polars) fall back to the objective at Q = K, computed from
+    volumes alone, which is a valid bound on the same side.
     """
 
     def __init__(self, config: HarnessConfig):
         self.config = config
         self._store = {}
+        self._normal = {}
 
     def bound(self, K: ConvexBody, p: float) -> _GpRecord:
         key = (_body_key(K), float(p))
@@ -228,11 +238,25 @@ class _GpCache:
             self._store[key] = self._compute(K, p)
         return self._store[key]
 
+    def _estimate(self, K, p):
+        grid = default_grid(K.dim, self.config.grid_resolution)
+
+        def estimate(body):
+            return estimate_gp(body, p, restarts=self.config.restarts,
+                               seed=self.config.seed, maxiter=250, grid=grid)
+
+        if not isinstance(K, Ellipsoid):
+            return estimate(K)
+        Kn = _normal_form(K)
+        key = (_body_key(Kn), float(p))
+        if key not in self._normal:
+            self._normal[key] = Kn, estimate(Kn)
+        Kn, est = self._normal[key]
+        return est if Kn is K else _from_normal_form(K, Kn, est, grid)
+
     def _compute(self, K, p):
         try:
-            est = estimate_gp(K, p, restarts=self.config.restarts,
-                              seed=self.config.seed, maxiter=250,
-                              grid=default_grid(K.dim, self.config.grid_resolution))
+            est = self._estimate(K, p)
         except (UnsupportedError, DomainError, InputError):
             cap = math.exp(log_objective(K.dim, p, math.log(K.volume()),
                                          math.log(K.polar().volume())))
@@ -320,8 +344,7 @@ def _support_bounds(K: ConvexBody):
         c = float(np.linalg.norm(K.center))
         return float(sv[-1]) - c, float(sv[0]) + c
     if isinstance(K, FourierBody2D):
-        t = np.linspace(0, 2 * math.pi, 8192, endpoint=False)
-        h = K.support_angle(t)
+        h = _grid_trig(K.a, K.b, 8192, 0)[0]
         return 0.995 * float(np.min(h)), 1.005 * float(np.max(h))
     grid = default_grid(K.dim, 1024)
     h = K.support(grid.nodes)
@@ -335,7 +358,11 @@ def _support_bounds(K: ConvexBody):
 def check_homogeneity(K: ConvexBody, T, p: float, config: HarnessConfig,
                       cache=None, name="") -> CheckResult:
     """Degree of homogeneity under invertible linear maps:
-    value(TK) = |det T|^{(n-p)/(n+p)} value(K)."""
+    value(TK) = |det T|^{(n-p)/(n+p)} value(K).  On a centered ellipsoid it
+    holds by construction: K and TK share the normal form B, and both values
+    scale the one estimate of B, unless B, a fixed candidate in each body's
+    own frame, beats it on one side.  Other bodies check the objective
+    identity at Q = B."""
     cache = cache or _GpCache(config)
     n = K.dim
     T = np.asarray(T, dtype=float)
@@ -547,7 +574,9 @@ def check_containment(E: Ellipsoid, K: ConvexBody, p: float, config: HarnessConf
 def check_p_surface_comparison(K: ConvexBody, p: float, config: HarnessConfig,
                                cache=None, name="") -> CheckResult:
     """Comparison with the p-surface area through the objective at Q = B:
-    exact by construction since the unit ball is a fixed candidate."""
+    exact by construction since the unit ball is a fixed candidate, also for
+    a quadric estimated in normal form, whose B is evaluated in its own
+    frame on the grid p_surface_area uses."""
     cache = cache or _GpCache(config)
     n = K.dim
     omega = unit_ball_volume(n)

@@ -28,6 +28,7 @@ from geominima import (
     random_body,
     santalo_point,
 )
+from geominima.bodies import _grid_trig, _trig
 
 SQ2 = math.sqrt(2.0)
 
@@ -371,6 +372,17 @@ def test_support_angle_reads_an_int_as_an_angle():
     for theta in (0, 1, 2):
         assert F.support_angle(theta) == F.support_angle(float(theta))
     assert F.support_angle(1) != F.support_angle(0)
+
+
+@pytest.mark.parametrize("n_nodes", [8, 2048, 4096, 8192])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_grid_trig_is_trig_at_the_uniform_nodes(n_nodes, seed):
+    # 11 coefficients: on 8 nodes the frequencies past 4 fold onto their aliases
+    F = random_body("fourier2d", 2, seed=seed)
+    thetas = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
+    for want, got in zip(_trig(F.a, F.b, thetas, 0, 1, 2), _grid_trig(F.a, F.b, n_nodes, 0, 1, 2)):
+        assert got.shape == (n_nodes,)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
 def test_santalo_point_symmetric_bodies():
@@ -903,10 +915,11 @@ def test_translate_takes_a_list(name):
 
 def _eager_fourier_polar(F):
     """The polar as it was built before its support samples became lazy:
-    both legs at once, the support samples from the radial solve."""
+    both legs at once, the support samples from the radial solve and the
+    radial samples from the uniform-grid trig pass."""
     thetas = 2.0 * math.pi * np.arange(4096) / 4096
     rho = np.atleast_1d(F.radial_angle(thetas))
-    return SampledBody2D(1.0 / rho, 1.0 / F.support_angle(thetas))
+    return SampledBody2D(1.0 / rho, 1.0 / _grid_trig(F.a, F.b, 4096, 0)[0])
 
 
 @pytest.mark.parametrize("seed", [0, 3, 5])
@@ -918,7 +931,8 @@ def test_fourier_polar_makes_no_radial_solve(radial_solves, seed):
     assert P.volume() > 0 and np.all(np.isfinite(P.centroid()))
     assert np.all(P.radial(circle_dirs(32)) > 0)
     assert radial_solves == []
-    np.testing.assert_array_equal(P.rho_values, 1.0 / F.support_angle(P.thetas))
+    np.testing.assert_array_equal(P.rho_values, 1.0 / _grid_trig(F.a, F.b, 4096, 0)[0])
+    np.testing.assert_allclose(P.rho_values, 1.0 / F.support_angle(P.thetas), rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 5])

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from geominima import bodies
@@ -303,10 +304,16 @@ def test_estimate_rejects_negative_restarts(ball_file, capsys):
                          "--restarts", "-1"], capsys)
 
 
-def test_compute_on_a_fourier_body_makes_four_trig_passes(tmp_path, calls):
+def test_compute_on_a_fourier_body_makes_four_trig_passes(tmp_path, monkeypatch):
     path = tmp_path / "fourier.json"
     path.write_text(json.dumps(bodies.random_body("fourier2d", 2, seed=5).to_json()))
-    trig = calls(bodies, "_trig", arg=2)
+    trig = []     # per pass, its number of angles, from either entry point
+    for name, size in (("_trig", lambda args: np.size(args[2])),
+                       ("_grid_trig", lambda args: args[2])):
+        def counted(*args, _fn=getattr(bodies, name), _size=size):
+            trig.append(_size(args))
+            return _fn(*args)
+        monkeypatch.setattr(bodies, name, counted)
     assert main(["compute", "--body", str(path),
                  "--quantities", "volume,polar_volume,mahler,vp,sp,asp,in_vp",
                  "--p=-4,-1.5,-0.5,0,1,2", "--out", str(tmp_path / "out.json")]) == 0

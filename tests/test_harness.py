@@ -503,3 +503,30 @@ def test_config_rejects_bad_restarts(restarts):
 def test_config_rejects_non_finite_orders(order):
     with pytest.raises(InputError, match="finite"):
         HarnessConfig(p_grid=(order, 1.0))
+
+
+def test_reduced_suite_estimates_each_normal_form_once_per_order(monkeypatch):
+    # a quadric c + A B is estimated through A^{-1} c + B, so every centered
+    # ellipsoid of a dimension shares one search of the unit ball per order
+    estimated, estimate = [], harness.estimate_gp
+
+    def recorded(K, p, **kwargs):
+        estimated.append((K, p))
+        return estimate(K, p, **kwargs)
+
+    monkeypatch.setattr(harness, "estimate_gp", recorded)
+    cfg = HarnessConfig(dims=(2, 3), p_grid=(-1.0, 0.5), n_random=1, grid_resolution=512,
+                        checks=("homogeneity", "volume_product", "isoperimetric"))
+    assert run_suite(cfg).exit_status == 0
+    keys = [(_body_key(K), p) for K, p in estimated]
+    assert len(keys) == len(set(keys))
+    quadrics = [(K, p) for K, p in estimated if isinstance(K, Ellipsoid)]
+    assert all(np.array_equal(K.matrix, np.eye(K.dim)) for K, _ in quadrics)
+    for n in cfg.dims:
+        balls = [p for K, p in quadrics if K.dim == n and not K.center.any()]
+        assert sorted(balls) == sorted(cfg.orders_for(n))
+    assert any(K.center.any() for K, _ in quadrics)
+    # no estimate outlives its suite: a second suite does the same work
+    first = len(estimated)
+    assert run_suite(cfg).exit_status == 0
+    assert len(estimated) == 2 * first
