@@ -3,7 +3,6 @@ volumes, affine surface areas, geominimal estimates, and an inequality
 verification harness."""
 
 from .bodies import (
-    BodyClassTag,
     ConvexBody,
     Ellipsoid,
     FourierBody2D,
@@ -11,25 +10,14 @@ from .bodies import (
     LinearImage,
     SampledBody2D,
     ShiftedBall,
-    ShiftedEllipsoid,
     VPolytope,
     ball,
     body_from_json,
     body_to_json,
-    centroid,
-    classify,
     has_curvature,
-    linear_map,
-    polar,
-    radial,
     random_body,
-    santalo_point,
-    support,
-    translate,
-    volume,
 )
 from .errors import (
-    ConvergenceError,
     DomainError,
     GenerationError,
     GeominimaError,

@@ -22,17 +22,14 @@ differs from a ``VPolytope`` only in its input and its JSON.
 
 import math
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
-    ConvergenceError,
     DomainError,
     GenerationError,
-    GeominimaError,
     InputError,
     UnsupportedError,
 )
@@ -277,19 +274,10 @@ class _Polytope(ConvexBody):
             ratios = np.where(dots > 1e-15, self._foffsets[None, :] / dots, np.inf)
         return _ret(np.min(ratios, axis=1), single)
 
-    def volume(self, monte_carlo_samples=None, seed=0):
-        if self._fareas is not None:
-            return float(np.dot(self._foffsets, self._fareas)) / self.dim
-        if monte_carlo_samples is None:
-            raise UnsupportedError(
-                "exact polytope volume requires dimension 2 or 3; "
-                "pass monte_carlo_samples to opt into an estimate"
-            )
-        rng = np.random.default_rng(seed)
-        lo, hi = self._verts.min(axis=0), self._verts.max(axis=0)
-        pts = rng.uniform(lo, hi, size=(int(monte_carlo_samples), self.dim))
-        inside = np.all(pts @ self._fnormals.T <= self._foffsets[None, :], axis=1)
-        return float(np.prod(hi - lo) * inside.mean())
+    def volume(self):
+        if self._fareas is None:
+            raise UnsupportedError("exact polytope volume requires dimension 2 or 3")
+        return float(np.dot(self._foffsets, self._fareas)) / self.dim
 
     def centroid(self):
         vs = self._verts
@@ -488,11 +476,6 @@ def ball(n: int) -> Ellipsoid:
         arr.flags.writeable = False
     B._derived("polar", lambda: B)
     return B
-
-
-def ShiftedEllipsoid(matrix, center) -> Ellipsoid:
-    """The ellipsoid center + matrix * B."""
-    return Ellipsoid(matrix, center)
 
 
 def ShiftedBall(center, radius) -> Ellipsoid:
@@ -790,118 +773,8 @@ class LinearImage(ConvexBody):
         return self.T @ self.base.centroid()
 
 
-# ---------------------------------------------------------------------------
-# derived operations
-# ---------------------------------------------------------------------------
-
-def polar(K: ConvexBody) -> ConvexBody:
-    return K.polar()
-
-
-def volume(K: ConvexBody) -> float:
-    return K.volume()
-
-
-def support(K: ConvexBody, u):
-    return K.support(u)
-
-
-def radial(K, u):
-    return K.radial(u)
-
-
-def linear_map(K: ConvexBody, T) -> ConvexBody:
-    return K.linear_map(T)
-
-
-def translate(K: ConvexBody, z) -> ConvexBody:
-    return K.translate(z)
-
-
-def centroid(K: ConvexBody):
-    return K.centroid()
-
-
-def santalo_point(K: ConvexBody):
-    """The z where (K - z)° has its centroid at the origin: the minimizer of the
-    convex |(K - z)°|, whose gradient is (n+1) |(K - z)°| centroid((K - z)°).
-    BFGS from the centroid of K certifies |centroid((K - z)°)| * R <= 1e-8, with
-    R = max h_K(±e_i).  Ellipsoids return their center."""
-    if isinstance(K, Ellipsoid):
-        return K.centroid()
-    n = K.dim
-    R = float(np.max(K.support(np.vstack([np.eye(n), -np.eye(n)]))))
-
-    def evaluate(z):   # |(K - z)°| and centroid((K - z)°) from one polar
-        L = K.translate(z).polar()
-        return L.volume(), L.centroid()
-
-    z = K.centroid()   # an UnsupportedError for polytopes beyond 3-D
-    f, c = evaluate(z)
-    B = np.eye(n) * (n + 1) * (n + 2) * f / R ** 2   # Hessian model
-    for _ in range(100):
-        if np.linalg.norm(c) * R <= 1e-8:
-            return z
-        g = (n + 1) * f * c
-        step = -np.linalg.solve(B, g)
-        for _ in range(60):
-            try:
-                f1, c1 = evaluate(z + step)
-            except GeominimaError:   # the trial point left K: halve the step
-                f1, c1 = math.inf, c
-            # sufficient decrease or, where |(K - z)°| is flat to roundoff
-            # near the solution, a smaller residual
-            if f1 <= f + 1e-4 * (g @ step) or np.linalg.norm(c1) < np.linalg.norm(c):
-                break
-            step = 0.5 * step
-        else:
-            break
-        y = (n + 1) * f1 * c1 - g
-        if step @ y > 0:
-            Bs = B @ step
-            B = B + np.outer(y, y) / (step @ y) - np.outer(Bs, Bs) / (step @ Bs)
-        z, f, c = z + step, f1, c1
-    raise ConvergenceError("Santalo point solve did not certify a stationary point", best=z)
-
-
-# ---------------------------------------------------------------------------
-# classification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BodyClassTag:
-    """Membership flags for the standard body classes."""
-
-    in_K0: bool        # origin strictly interior
-    in_Kc: bool        # centroid at the origin (tolerance-checked)
-    in_Ks: bool        # Santalo point at the origin (tolerance-checked)
-    in_F0plus: bool    # positive continuous curvature function available
-
-
 def has_curvature(K: ConvexBody) -> bool:
     return isinstance(K, (Ellipsoid, FourierBody2D))
-
-
-def classify(K: ConvexBody, tol=1e-8) -> BodyClassTag:
-    """The class flags of K; a flag the representation cannot check is False."""
-    if K.dim == 2:
-        t = 2.0 * math.pi * np.arange(512) / 512
-        dirs = np.column_stack([np.cos(t), np.sin(t)])
-    else:
-        g = np.random.default_rng(1234).standard_normal((512, K.dim))
-        dirs = g / np.linalg.norm(g, axis=1)[:, None]
-    h = K.support(dirs)
-    in_k0 = bool(np.min(h) > 0)
-
-    def at_origin(point, rel):
-        try:
-            return in_k0 and bool(np.linalg.norm(point()) <= rel * np.max(h))
-        except (UnsupportedError, ConvergenceError):
-            return False
-
-    return BodyClassTag(in_K0=in_k0, in_Kc=at_origin(K.centroid, tol),
-                        in_Ks=at_origin(lambda: santalo_point(K), 1e-6),
-                        in_F0plus=has_curvature(K))
 
 
 # ---------------------------------------------------------------------------

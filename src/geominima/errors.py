@@ -20,14 +20,5 @@ class UnsupportedError(GeominimaError, NotImplementedError):
     """Operation not available for this representation or dimension."""
 
 
-class ConvergenceError(GeominimaError, RuntimeError):
-    """Iterative solver did not reach its certificate; carries the best
-    iterate found so far."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class GenerationError(GeominimaError, RuntimeError):
     """Random body generation failed to produce a valid instance."""

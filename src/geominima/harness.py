@@ -182,7 +182,7 @@ def suite_bodies(config: HarnessConfig, dim: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# estimate cache with volume-product fallback
+# estimate cache with volume-product fallback for Fourier polars
 # ---------------------------------------------------------------------------
 
 def _unsigned_zeros(x):
@@ -223,8 +223,10 @@ class _GpCache:
     A quadric's value comes from the estimate of its normal form, kept per
     (normal form, p), so all centered ellipsoids of one dimension share one
     search of the unit ball per order.  Bodies the optimizer cannot handle
-    (sampled polars) fall back to the objective at Q = K, computed from
-    volumes alone, which is a valid bound on the same side.
+    (Fourier polars, which have no surface measure) fall back to the
+    objective at Q = K, computed from volumes alone, which is a valid bound
+    on the same side.  In the default suites these polars are the only
+    bodies that take the fallback.
     """
 
     def __init__(self, config: HarnessConfig):

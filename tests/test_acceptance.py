@@ -4,6 +4,7 @@ Each test evaluates one criterion at its stated tolerance and prints one
 pass/fail line (run with ``pytest -s tests/test_acceptance.py`` to see them).
 """
 
+import hashlib
 import json
 import math
 
@@ -228,3 +229,11 @@ def test_default_suite_reports_no_failures(default_report):
         counts[r.verdict] = counts.get(r.verdict, 0) + 1
     assert counts.get("fail", 0) == 0
     assert counts.get("pass", 0) > 0
+
+
+def test_default_report_bytes_unchanged(default_report):
+    # sha256 of the seed-0 report under numpy 2.4.6 / scipy 1.17.1.  A change
+    # that moves the report bytes on purpose updates this digest and records
+    # the drift in CHANGES.md.
+    digest = hashlib.sha256(default_report.to_json_bytes()).hexdigest()
+    assert digest == "df72a109dbc12b40f175d31ce515e97d180b29256c19ecc70749506673ad6c49"

@@ -18,7 +18,6 @@ from geominima import (
     body_from_json,
     mahler,
     p_surface_area,
-    santalo_point,
 )
 
 FAST = settings(max_examples=25, deadline=None,
@@ -88,26 +87,6 @@ def test_hulls_with_many_vertices(dim, count, jitter, seed):
     if K is not None:
         assert len(K.vertices) >= (200 if jitter == 0 else 1)
         _finite_or_refused(lambda: K.polar())
-
-
-@FAST
-@given(st.sampled_from([2, 3]), st.integers(0, 2 ** 32 - 1), st.floats(-3.0, 3.0),
-       st.floats(0.0, 0.95))
-def test_santalo_point_certifies_at_any_scale(dim, seed, log_scale, shift):
-    """Random hulls at scale 10^U(-3, 3), with the origin moved part of the way
-    to a vertex: the Santalo point certifies, with the polar centroid at most
-    1e-8 in units of the body's size, and never gives a raw error or a NaN."""
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((rng.integers(dim + 1, 13), dim))
-    try:
-        K0 = VPolytope(10.0 ** log_scale * (pts - pts.mean(axis=0)))
-        K = K0.translate(shift * K0.vertices[rng.integers(len(K0.vertices))])
-    except GeominimaError:
-        return
-    z = santalo_point(K)
-    assert np.all(np.isfinite(z))
-    R = np.max(np.abs(K.vertices))
-    assert np.linalg.norm(K.translate(z).polar().centroid()) * R <= 1e-8
 
 
 @FAST
