@@ -7,13 +7,11 @@ from .bodies import (
     Ellipsoid,
     FourierBody2D,
     HPolytope,
-    LinearImage,
     SampledBody2D,
     ShiftedBall,
     VPolytope,
     ball,
     body_from_json,
-    body_to_json,
     has_curvature,
     random_body,
 )

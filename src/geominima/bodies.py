@@ -4,11 +4,12 @@ Every body is immutable after construction and strictly contains the origin.
 The representations are half-space and vertex polytopes, quadrics
 c + A * B (one class, ``Ellipsoid``, for centered ellipsoids, balls and their
 shifts), cosine/sine support expansions in the plane, and the sampled planar
-bodies and lazy linear images that ``polar`` and ``linear_map`` produce from
-smooth planar bodies; the polar of a Fourier body solves its support samples
-only when they are read, and its polar is the Fourier body.  A quadric is
-written to JSON under one of three type names: ``ellipsoid`` (center at the
-origin), ``shifted-ball`` (matrix r * I) or ``shifted-ellipsoid``.
+bodies that ``polar`` produces from smooth planar bodies; the polar of a
+Fourier body solves its support samples only when they are read, and its
+polar is the Fourier body.  A smooth planar body has no linear image.  Every
+body has a JSON form, ``to_json``, that ``body_from_json`` reads back.  A
+quadric is written under one of three type names: ``ellipsoid`` (center at
+the origin), ``shifted-ball`` (matrix r * I) or ``shifted-ellipsoid``.
 
 Polytope facet data (normals, offsets, facet areas, vertices) is computed
 once at construction, exactly, for n in {2, 3}; every polytope quantity
@@ -153,7 +154,7 @@ class ConvexBody:
         raise NotImplementedError
 
     def to_json(self):
-        raise UnsupportedError(f"{type(self).__name__} has no JSON form")
+        raise NotImplementedError
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
@@ -600,8 +601,7 @@ class FourierBody2D(ConvexBody):
         return math.pi * self.a[0] ** 2 + 0.5 * math.pi * tail
 
     def linear_map(self, T):
-        T = _check_transform(T, 2)
-        return LinearImage(T, self)
+        raise UnsupportedError("a Fourier body has no linear image in this representation")
 
     def translate(self, z):
         z = _vector(z, 2, "translation")
@@ -732,47 +732,6 @@ class _FourierPolar(SampledBody2D):
             1.0 / self.body.radial_angle(self.thetas), self.n_nodes, radial=False))
 
 
-class LinearImage(ConvexBody):
-    """Lazy linear image T * K of a smooth base body.
-
-    Support: h(v) = |T^T v| * h_base(T^T v / |T^T v|).  Used where the image
-    has no closed coefficient form (e.g. sheared planar bodies)."""
-
-    def __init__(self, T, base):
-        self.T = _check_transform(T, base.dim)
-        self.base = base
-        self.dim = base.dim
-        self._inv = np.linalg.inv(self.T)
-
-    def support(self, u):
-        mat, single = _directions(u, self.dim)
-        w = mat @ self.T          # rows are T^T u
-        lens = np.linalg.norm(w, axis=1)
-        return _ret(lens * self.base.support(w / lens[:, None]), single)
-
-    def radial(self, u):
-        mat, single = _directions(u, self.dim)
-        w = mat @ self._inv.T     # rows are T^{-1} u
-        lens = np.linalg.norm(w, axis=1)
-        return _ret(self.base.radial(w / lens[:, None]) / lens, single)
-
-    def volume(self):
-        return abs(np.linalg.det(self.T)) * self.base.volume()
-
-    def polar(self):
-        return self._derived("polar", lambda: LinearImage(self._inv.T, self.base.polar()))
-
-    def linear_map(self, T):
-        T = _check_transform(T, self.dim)
-        return LinearImage(T @ self.T, self.base)
-
-    def translate(self, z):
-        raise UnsupportedError("translate the base body before mapping")
-
-    def centroid(self):
-        return self.T @ self.base.centroid()
-
-
 def has_curvature(K: ConvexBody) -> bool:
     return isinstance(K, (Ellipsoid, FourierBody2D))
 
@@ -805,7 +764,7 @@ def _random_ellipsoid(n, rng):
 def _random_fourier(n, size, rng):
     if n != 2:
         raise InputError("fourier2d bodies exist only in the plane")
-    kmax = max(2, min(int(size), 10))
+    kmax = max(2, min(size, 10))
     a = np.zeros(kmax + 1)
     b = np.zeros(kmax + 1)
     a[0] = 1.0
@@ -834,12 +793,16 @@ def random_body(kind: str, n: int, size: int = 12, seed: int = 0, rng=None) -> C
     """Seeded random body generator.
 
     kind is one of ``polytope-hull``, ``ellipsoid``, ``fourier2d``,
-    ``shifted-ball``.  The same (kind, n, size, seed) always produces the
-    same body.
+    ``shifted-ball``.  size, a non-negative integer, is the number of points
+    of a polytope-hull (at least n + 1) and the top frequency of a fourier2d
+    body (clamped to 2..10).  The same (kind, n, size, seed) always produces the same body.
     """
+    size = _count(size, "size")
     if rng is None:
         rng = np.random.default_rng(_count(seed, "seed"))
     if kind == "polytope-hull":
+        if size < n + 1:
+            raise InputError(f"a polytope-hull in dimension {n} needs at least {n + 1} points")
         return _random_polytope(n, size, rng)
     if kind == "ellipsoid":
         return _random_ellipsoid(n, rng)
@@ -853,10 +816,6 @@ def random_body(kind: str, n: int, size: int = 12, seed: int = 0, rng=None) -> C
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
-
-def body_to_json(K: ConvexBody) -> dict:
-    return K.to_json()
-
 
 _JSON_READERS = {
     "h-polytope": lambda rep: HPolytope(rep["normals"], rep["offsets"]),

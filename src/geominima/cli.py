@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .bodies import ball, body_from_json, body_to_json, random_body
+from .bodies import ball, body_from_json, random_body
 from .errors import GeominimaError, InputError
 from .functionals import (
     _finite_order,
@@ -104,6 +104,8 @@ def _cmd_compute(args):
     if unknown:
         raise InputError(f"unknown quantities: {sorted(unknown)}")
     Q = _load_body(args.q_body) if args.q_body else ball(n)
+    if Q.dim != n:
+        raise InputError(f"--q-body has dimension {Q.dim}, the body {n}")
     grid = default_grid(n, args.grid)
     out = {}
     errors = 0
@@ -154,7 +156,7 @@ def _cmd_verify(args):
         config = HarnessConfig()
     if args.seed is not None:
         config = HarnessConfig.from_dict({**config.to_dict(), "seed": args.seed})
-    if args.checks:
+    if args.checks is not None:
         wanted = tuple(c.strip() for c in args.checks.split(",") if c.strip())
         config = HarnessConfig.from_dict({**config.to_dict(), "checks": wanted})
     report = run_suite(config)
@@ -174,13 +176,7 @@ def _cmd_verify(args):
 
 def _cmd_generate(args):
     K = random_body(args.kind, args.n, size=args.size, seed=args.seed)
-    payload = body_to_json(K)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    else:
-        print(json.dumps(payload, indent=2))
+    _emit(K.to_json(), "json", args.out)
     return 0
 
 

@@ -329,7 +329,7 @@ def _search(K, p, restarts, seed, grid, maxiter):
     fine = None
     for ridx, x0 in enumerate(starts):
         res = _descend(fam, ev, x0, maxiter, sign)
-        log_j = _witness_log_objective(fam, ev, res.x)
+        Q, log_j = _witness(ev, lambda: fam.build(res.x))
         trace.append({"family": fam.name, "restart": ridx,
                       "fun": float(log_j), "nit": int(res.nit), "nfev": int(res.nfev)})
         if not np.isfinite(log_j) or sign * log_j >= sign * best_log - _TIE_TOL:
@@ -337,12 +337,12 @@ def _search(K, p, restarts, seed, grid, maxiter):
         # a polytope's atoms are exact; a smooth K's grid is checked on a finer one
         if ev.grid is not None:
             fine = fine or _Evaluator(K, p, make_grid(n, 4 * ev.grid.n_nodes))
-            log_fine = _witness_log_objective(fam, fine, res.x)
+            log_fine = _witness(fine, lambda: Q)[1]
             if not abs(log_fine - log_j) <= _WITNESS_TOL:
                 trace.append({"family": fam.name, "rejected": ridx,
                               "fun": float(log_j), "fine_fun": float(log_fine)})
                 continue
-        best_log, best_body = log_j, fam.build(res.x)
+        best_log, best_body = log_j, Q
 
     return GpEstimate(value=math.exp(best_log), witness=best_body, restarts_used=len(starts),
                       trace=trace, **fixed)
@@ -363,17 +363,19 @@ def _thin_ellipsoid(ev, eps=1e-6):
     return Ellipsoid(np.eye(ev.n) - (1.0 - eps) * np.outer(v, v))
 
 
-def _witness_log_objective(fam, ev, x):
-    """The log objective of the body fam.build(x), which an estimate reports
-    as its witness; inf where there is none.  It can differ from the chart
-    value in the last bits, or, where facets of a polytope candidate nearly
-    meet in one vertex, by the merge of its nearly coplanar dual faces."""
+def _witness(ev, make):
+    """The body make(), which an estimate reports as its witness, and its log
+    objective under ev; (None, inf) where there is none.  A restart makes its
+    body once.  The objective can differ from the chart value in the last
+    bits, or, where facets of a polytope candidate nearly meet in one vertex,
+    by the merge of its nearly coplanar dual faces."""
     with np.errstate(all="ignore"):
         try:
-            lj = ev.log_objective_body(fam.build(x))
+            Q = make()
+            lj = ev.log_objective_body(Q)
         except (DomainError, InputError, FloatingPointError):
-            return np.inf
-    return lj if np.isfinite(lj) else np.inf
+            return None, np.inf
+    return Q, (lj if np.isfinite(lj) else np.inf)
 
 
 def _descend(fam, ev, x0, maxiter, sign):

@@ -37,11 +37,10 @@ from .bodies import (
     _count,
     ball,
     body_from_json,
-    body_to_json,
     is_centered_ellipsoid,
     random_body,
 )
-from .errors import DomainError, GeominimaError, InputError, UnsupportedError
+from .errors import DomainError, InputError, UnsupportedError
 from .functionals import holder_cyclic_check, log_objective, mahler, p_surface_area
 from .geominimal import (
     _from_normal_form,
@@ -100,6 +99,8 @@ class HarnessConfig:
             tuple(self.dims), tuple(self.p_grid), tuple(self.checks))
         if not self.dims:
             raise InputError("dims must not be empty")
+        if not self.checks:
+            raise InputError("checks must not be empty")
         # given tolerances override the defaults key by key
         self.tolerances = {**_DEFAULT_TOLERANCES, **self.tolerances}
         for key, value in self.tolerances.items():
@@ -196,17 +197,13 @@ def _unsigned_zeros(x):
 
 def _body_key(K: ConvexBody):
     """Content key: a polytope's sorted vertex rows, a Fourier polar's parent,
-    else its JSON.  -0.0 and 0.0 are one value, so the polar of the square
-    and the cross polytope share a key.  A body with no JSON form is its own
-    key; the cache keeps it, so no id is reused."""
+    else its JSON, which every body has.  -0.0 and 0.0 are one value, so the
+    polar of the square and the cross polytope share a key."""
     if isinstance(K, _Polytope):
         return K.dim, (np.unique(K.vertices, axis=0) + 0.0).tobytes()
     if isinstance(K, _FourierPolar):
         return "polar", _body_key(K.body)
-    try:
-        return json.dumps(_unsigned_zeros(K.to_json()), sort_keys=True)
-    except (UnsupportedError, GeominimaError):
-        return K
+    return json.dumps(_unsigned_zeros(K.to_json()), sort_keys=True)
 
 
 @dataclass(eq=False, frozen=True)
@@ -307,10 +304,7 @@ def _instance(body=None, name="", **params) -> dict:
     if name:
         inst["name"] = name
     if body is not None:
-        try:
-            inst["body"] = body_to_json(body)
-        except (UnsupportedError, GeominimaError):
-            inst["body"] = {"unserializable": type(body).__name__}
+        inst["body"] = body.to_json()
     return inst
 
 

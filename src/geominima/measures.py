@@ -45,13 +45,6 @@ class SurfaceMeasure:
         """log h_Q at the directions, kept on Q (``_log_support``)."""
         return _log_support(Q, self.directions, self.owner)
 
-    def to_json(self) -> dict:
-        if self.grid is None:
-            atoms = [list(u) + [m] for u, m in zip(self.directions.tolist(), self.masses.tolist())]
-            return {"type": "discrete", "atoms": atoms}
-        return {"type": "density", "grid_id": self.grid.grid_id,
-                "values": (self.masses / self.grid.weights).tolist()}
-
 
 def _curvature_function(K: ConvexBody):
     if not has_curvature(K):

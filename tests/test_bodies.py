@@ -15,17 +15,16 @@ from geominima import (
     FourierBody2D,
     HPolytope,
     InputError,
-    LinearImage,
     SampledBody2D,
     ShiftedBall,
     UnsupportedError,
     VPolytope,
     ball,
     body_from_json,
-    body_to_json,
     random_body,
 )
 from geominima.bodies import _grid_trig, _trig
+from geominima.harness import HarnessConfig, suite_bodies
 
 SQ2 = math.sqrt(2.0)
 
@@ -246,24 +245,12 @@ def test_linear_map_support_rule():
     rng = np.random.default_rng(5)
     T = rng.standard_normal((2, 2)) + 2 * np.eye(2)
     u = circle_dirs(64)
-    for K in (square(), Ellipsoid([[1.5, 0.2], [0.0, 0.8]]),
-              random_body("fourier2d", 2, seed=19)):
+    for K in (square(), Ellipsoid([[1.5, 0.2], [0.0, 0.8]])):
         TK = K.linear_map(T)
         w = u @ T
         lens = np.linalg.norm(w, axis=1)
         expected = lens * K.support(w / lens[:, None])
         np.testing.assert_allclose(TK.support(u), expected, atol=1e-10)
-
-
-def test_linear_image_volume_polar_radial():
-    F = random_body("fourier2d", 2, seed=19)
-    T = np.array([[1.4, 0.3], [-0.2, 0.9]])
-    TF = F.linear_map(T)
-    assert TF.volume() == pytest.approx(abs(np.linalg.det(T)) * F.volume(), rel=1e-12)
-    # the polar of a mapped smooth body queries the sampled dual off its
-    # nodes, so the duality product holds at interpolation accuracy only
-    u = circle_dirs(32)
-    np.testing.assert_allclose(TF.radial(u) * TF.polar().support(u), 1.0, atol=2e-6)
 
 
 def test_linear_map_rejects_singular():
@@ -276,7 +263,7 @@ def test_translate_examples():
     u = circle_dirs(32)
     np.testing.assert_allclose(K.translate(np.zeros(2)).support(u), K.support(u), atol=1e-14)
     shifted = ball(2).translate(np.array([0.5, 0.0]))
-    rep = body_to_json(shifted)["repr"]
+    rep = shifted.to_json()["repr"]
     assert rep["type"] == "shifted-ball" and rep["radius"] == 1.0
     np.testing.assert_allclose(rep["center"], [-0.5, 0.0])
     np.testing.assert_allclose(shifted.support(u), 1.0 - 0.5 * u[:, 0], atol=1e-14)
@@ -391,7 +378,7 @@ def test_grid_trig_is_trig_at_the_uniform_nodes(n_nodes, seed):
 def test_random_body_deterministic_and_valid(kind, dim):
     K1 = random_body(kind, dim, seed=42)
     K2 = random_body(kind, dim, seed=42)
-    assert json.dumps(body_to_json(K1)) == json.dumps(body_to_json(K2))
+    assert json.dumps(K1.to_json()) == json.dumps(K2.to_json())
 
 
 def test_random_polytope_recentered_offsets_positive():
@@ -423,9 +410,9 @@ def test_random_fourier_convexity_floor():
 ], ids=["h-poly", "v-poly", "ellipsoid", "fourier", "shifted-ball"])
 def test_json_round_trip_bit_exact(maker):
     K = maker()
-    blob = json.dumps(body_to_json(K))
+    blob = json.dumps(K.to_json())
     K2 = body_from_json(json.loads(blob))
-    assert json.dumps(body_to_json(K2)) == blob
+    assert json.dumps(K2.to_json()) == blob
 
 
 def test_degenerate_bodies_rejected():
@@ -476,20 +463,28 @@ PARENT_JSON = [
 def test_json_round_trip_all_type_names():
     names = {json.loads(blob)["repr"]["type"] for blob in PARENT_JSON}
     assert len(names) == 7
-    for blob in PARENT_JSON:
-        assert json.dumps(body_to_json(body_from_json(json.loads(blob)))) == blob
+    # every body the harness meets is keyed and reported by its JSON form
+    suite = [K for dim in (2, 3) for K in suite_bodies(HarnessConfig(), dim).values()]
+    blobs = PARENT_JSON + [json.dumps(K.to_json()) for K in suite + [_fourier().polar()]]
+    for blob in blobs:
+        assert json.dumps(body_from_json(json.loads(blob)).to_json()) == blob
+
+
+def test_a_fourier_body_has_no_linear_image():
+    with pytest.raises(UnsupportedError, match="no linear image"):
+        _fourier().linear_map(np.eye(2))
 
 
 def test_quadric_type_name_follows_content():
     def kind(K):
-        return body_to_json(K)["repr"]["type"]
+        return K.to_json()["repr"]["type"]
 
     assert kind(ShiftedBall([0.0, 0.0], 2.0)) == "ellipsoid"
     assert kind(Ellipsoid(np.diag([2.0, 2.0]), [0.1, 0.0])) == "shifted-ball"
     assert kind(Ellipsoid(np.diag([2.0, 1.0]), [0.1, 0.0])) == "shifted-ellipsoid"
     assert kind(Ellipsoid(-np.eye(2), [0.1, 0.0])) == "shifted-ellipsoid"
     assert kind(ShiftedBall([0.2, 0.1], 1.0).polar()) == "shifted-ellipsoid"
-    assert body_to_json(ShiftedBall([0.3, -0.2], 1.1))["repr"] == {
+    assert ShiftedBall([0.3, -0.2], 1.1).to_json()["repr"] == {
         "type": "shifted-ball", "center": [0.3, -0.2], "radius": 1.1}
 
 
@@ -624,7 +619,6 @@ BODY_MAKERS = {
     "shifted-ball": lambda: ShiftedBall([0.3, -0.2], 1.1),
     "fourier": _fourier,
     "sampled": lambda: _fourier().polar(),
-    "linear-image": lambda: _fourier().linear_map([[1.0, 0.5], [0.0, 1.0]]),
 }
 
 
@@ -642,7 +636,7 @@ def test_non_finite_directions_are_input_errors(name, u):
             method(u)
 
 
-@pytest.mark.parametrize("name", ["h-poly", "v-poly", "ellipsoid", "fourier", "linear-image"])
+@pytest.mark.parametrize("name", ["h-poly", "v-poly", "ellipsoid"])
 def test_non_finite_transform_is_an_input_error(name):
     K = BODY_MAKERS[name]()
     with pytest.raises(InputError):
@@ -842,19 +836,19 @@ def test_fourier_polar_checks_the_support_leg_when_solved(monkeypatch):
 
 
 def test_polar_of_a_linear_image_and_the_bipolar_of_a_fourier_body():
-    F = _fourier()
+    # (TK)° = T^{-T} K° for the bodies that have linear images
     T = np.array([[1.0, 0.5], [0.0, 1.2]])
-    ref = _eager_fourier_polar(F)
     u = circle_dirs(64)
-    Kp = LinearImage(T, F).polar()
-    want = LinearImage(np.linalg.inv(T).T, ref)
-    np.testing.assert_array_equal(Kp.support(u), want.support(u))
-    np.testing.assert_array_equal(Kp.radial(u), want.radial(u))
-    assert Kp.volume() == want.volume()
+    for K in (square(), Ellipsoid([[1.5, 0.2], [0.0, 0.8]], [0.1, -0.2])):
+        want = K.polar().linear_map(np.linalg.inv(T).T)
+        np.testing.assert_allclose(K.linear_map(T).polar().support(u), want.support(u),
+                                   rtol=1e-12)
+    F = _fourier()
+    ref = _eager_fourier_polar(F)
     assert F.polar().polar() is F
     # read back from JSON the polar is a plain sampled body, whose polar is
     # the eager polar's polar and exact at the nodes
-    bipolar = body_from_json(body_to_json(F.polar())).polar()
+    bipolar = body_from_json(F.polar().to_json()).polar()
     assert json.dumps(bipolar.to_json()) == json.dumps(ref.polar().to_json())
     np.testing.assert_allclose(bipolar.h_values, F.support(
         np.column_stack([np.cos(bipolar.thetas), np.sin(bipolar.thetas)])), atol=1e-12)

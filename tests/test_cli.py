@@ -350,9 +350,9 @@ def test_negative_seed_is_an_input_error(ball_file, capsys, argv):
 @pytest.mark.parametrize("config, field", [
     ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"n_random": 1.5}, "n_random"),
     ({"grid_resolution": 64.5}, "grid_resolution"), ({"n_random": -1}, "n_random"),
-    ({"mahler_count": -5}, "mahler_count"), ({"dims": []}, "dims")],
+    ({"mahler_count": -5}, "mahler_count"), ({"dims": []}, "dims"), ({"checks": []}, "checks")],
     ids=["seed-negative", "seed-float", "n_random-float", "grid_resolution-float",
-         "n_random-negative", "mahler_count-negative", "dims-empty"])
+         "n_random-negative", "mahler_count-negative", "dims-empty", "checks-empty"])
 def test_verify_rejects_malformed_integer_fields(tmp_path, capsys, config, field):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
@@ -362,3 +362,27 @@ def test_verify_rejects_malformed_integer_fields(tmp_path, capsys, config, field
     lines = captured.err.splitlines()
     assert captured.out == "" and not out.exists()
     assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]
+
+
+@pytest.mark.parametrize("argv", [["polytope-hull", "2", "-3"], ["polytope-hull", "3", "3"],
+                                  ["fourier2d", "2", "-3"]],
+                         ids=["hull-negative", "hull-too-few-points", "fourier-negative"])
+def test_generate_rejects_a_bad_size(capsys, argv):
+    kind, n, size = argv
+    _assert_input_error(["generate", "--kind", kind, "--n", n, "--size", size], capsys)
+
+
+@pytest.mark.parametrize("quantities", ["vp", "volume,vp"])
+def test_compute_rejects_a_q_body_of_another_dimension(ball_file, tmp_path, capsys, quantities):
+    q_path = tmp_path / "ball3.json"
+    q_path.write_text(json.dumps(bodies.ball(3).to_json()))
+    _assert_input_error(["compute", "--body", ball_file, "--q-body", str(q_path),
+                         "--quantities", quantities, "--p", "1"], capsys)
+
+
+@pytest.mark.parametrize("checks", [",", ""], ids=["comma", "blank"])
+def test_verify_rejects_an_empty_check_list(tmp_path, capsys, checks):
+    # a run that checks nothing must not read as a pass
+    out = tmp_path / "r.json"
+    _assert_input_error(["verify", "--checks", checks, "--out", str(out)], capsys)
+    assert not out.exists()

@@ -17,7 +17,6 @@ from geominima import (
     FourierBody2D,
     HPolytope,
     InputError,
-    LinearImage,
     ShiftedBall,
     StarBody,
     affine_surface_area_p,
@@ -580,8 +579,7 @@ def test_threads_share_the_ball_and_its_samples():
 
 @pytest.mark.parametrize("make", [
     lambda: random_body("fourier2d", 2, seed=5).polar(),
-    lambda: LinearImage([[1.0, 0.5], [0.0, 1.2]], random_body("fourier2d", 2, seed=5)),
-], ids=["fourier-polar", "fourier-linear-image"])
+], ids=["fourier-polar"])
 def test_a_body_without_a_surface_measure_is_unsupported(make):
     K = make()
     for call in (lambda: surface_measure(K),

@@ -19,7 +19,6 @@ from geominima import (
     VPolytope,
     affine_surface_area_p,
     ball,
-    body_to_json,
     default_grid,
     estimate_gp,
     geominimal,
@@ -172,7 +171,7 @@ def test_estimate_deterministic():
     e1 = estimate_gp(K, 0.5, restarts=3, seed=11)
     e2 = estimate_gp(K, 0.5, restarts=3, seed=11)
     assert e1.value == e2.value
-    assert json.dumps(body_to_json(e1.witness)) == json.dumps(body_to_json(e2.witness))
+    assert json.dumps(e1.witness.to_json()) == json.dumps(e2.witness.to_json())
 
 
 def test_estimate_sandwich_against_affine_surface_area():
@@ -254,6 +253,25 @@ def test_estimate_trace_records_restarts():
     # a polytope at p > 0 searches its normal fan only
     assert set(by_family) == {"polytope-support"}
     assert all(len(v) == 3 for v in by_family.values())
+
+
+@pytest.mark.parametrize("make, family", [
+    (lambda: random_body("fourier2d", 2, seed=5), geominimal.EllipsoidFamily),
+    (lambda: random_body("polytope-hull", 2, seed=3), geominimal.PolytopeSupportFamily),
+], ids=["fourier-ellipsoids", "polygon-fan"])
+def test_each_restart_builds_its_witness_once(monkeypatch, make, family):
+    # the objective, the finer-grid check and the new best share one body
+    K, built = make(), []
+    build = family.build
+
+    def counted(self, x):
+        built.append(build(self, x))
+        return built[-1]
+
+    monkeypatch.setattr(family, "build", counted)
+    est = estimate_gp(K, 1.0, restarts=3, seed=2)
+    assert len(built) == 3
+    assert any(est.witness is Q for Q in built)
 
 
 @settings(max_examples=60, deadline=None)

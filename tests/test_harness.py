@@ -12,7 +12,6 @@ from geominima import (
     HPolytope,
     HarnessConfig,
     InputError,
-    LinearImage,
     VPolytope,
     ball,
     canonical_bodies,
@@ -256,6 +255,8 @@ def test_config_validation():
         HarnessConfig(dims=(2, 4))
     with pytest.raises(InputError):
         HarnessConfig(checks=("nonsense",))
+    with pytest.raises(InputError, match="checks must not be empty"):
+        HarnessConfig(checks=())
     with pytest.raises(InputError):
         HarnessConfig(dims=(2,), p_grid=(-2.0, -1.9))
     with pytest.raises(InputError):
@@ -349,24 +350,6 @@ def test_homogeneity_3d_suite_all_pass():
     assert report.exit_status == 0
     assert report.summary["homogeneity"]["fail"] == 0
     assert report.summary["homogeneity"]["inconclusive"] == 0
-
-
-def test_cache_does_not_reuse_a_freed_body_record():
-    # a LinearImage has no JSON form, so the cache cannot key it on content;
-    # built right after the first one is released, the second one would
-    # usually take over the first one's memory address and id
-    cfg = small_config()
-    F = random_body("fourier2d", 2, seed=3)
-    T1, T2 = np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([[2.0, 0.0], [0.3, 1.0]])
-    cache = _GpCache(cfg)
-    K = LinearImage(T1, F)
-    first = cache.bound(K, 1.0)
-    del K
-    K = LinearImage(T2, F)
-    second = cache.bound(K, 1.0)
-    assert first.kind == second.kind == "volume-cap"
-    assert second.value == _GpCache(cfg).bound(LinearImage(T2, F), 1.0).value
-    assert second.value != first.value
 
 
 def test_cache_keys_a_polytope_on_its_vertex_set():

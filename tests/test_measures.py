@@ -183,19 +183,6 @@ def test_lp_curvature_requires_curvature():
         lp_curvature(square(), 1.0, np.array([1.0, 0.0]))
 
 
-def test_surface_measure_serialization_shapes():
-    sm = surface_measure(square())
-    blob = sm.to_json()
-    assert blob["type"] == "discrete"
-    assert all(len(atom) == 3 for atom in blob["atoms"])   # u_x, u_y, mass
-    g = make_grid(2, 128)
-    smd = surface_measure(ball(2), g)
-    blobd = smd.to_json()
-    assert blobd["type"] == "density"
-    assert blobd["grid_id"] == g.grid_id
-    assert len(blobd["values"]) == g.n_nodes
-
-
 def test_ellipsoid_density_integrates_to_polar_identity():
     # integral of |A^T u|^{-n} equals n omega_n / det(A)
     E = Ellipsoid(np.diag([1.7, 0.8, 1.1]))
