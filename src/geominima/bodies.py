@@ -22,6 +22,7 @@ differs from a ``VPolytope`` only in its input and its JSON.
 """
 
 import math
+import numbers
 import weakref
 from functools import lru_cache
 
@@ -78,6 +79,13 @@ def _count(value, what):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
         raise InputError(f"{what} must be a non-negative integer, got {value!r}")
     return int(value)
+
+
+def _real(value, what):
+    """value, unchanged, if it is a finite real number; a bool is an InputError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InputError(f"{what} must be a finite real number, got {value!r}")
+    return value
 
 
 def _vector(x, dim, what):

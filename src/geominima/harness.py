@@ -1,15 +1,13 @@
 """Inequality verification harness.
 
 Each inequality satisfied by the geominimal functional is instantiated as a
-check over canonical and seeded random bodies.  Checks are three-valued:
-``pass`` when the inequality
-is established at the stated tolerance, ``fail`` only when the violation is
-logically sound given the estimator's bound direction, and ``inconclusive``
-when a one-sided estimate cannot decide the claim.  An upper-bound estimate
-can prove an upper inequality and can never refute it; symmetrically for
-lower bounds.  For balls and ellipsoids an estimate that meets its closed
-form is tight, so those instances are tested two-sided and must hit equality
-cases.
+check over canonical and seeded random bodies.  A value is a bracket
+lower <= value <= upper, and checks are three-valued: ``pass`` when the end
+on the claim's side establishes the inequality at the stated tolerance,
+``fail`` only when the other end violates it, and ``inconclusive``
+otherwise.  The estimate sets the end its order fixes; the other end is open
+unless a closed form sets it, so balls and ellipsoids whose estimates meet
+their closed forms are tested two-sided and must hit equality cases.
 
 Reports are deterministic for a fixed seed: byte-identical JSON, no wall
 clock anywhere in the output.
@@ -35,6 +33,7 @@ from .bodies import (
     _grid_trig,
     _Polytope,
     _count,
+    _real,
     ball,
     body_from_json,
     is_centered_ellipsoid,
@@ -95,8 +94,9 @@ class HarnessConfig:
     def __post_init__(self):
         for name in ("seed", "n_random", "mahler_count", "grid_resolution", "restarts"):
             setattr(self, name, _count(getattr(self, name), name))
-        self.dims, self.p_grid, self.checks = (
-            tuple(self.dims), tuple(self.p_grid), tuple(self.checks))
+        self.dims = tuple(_count(d, "dims entry") for d in self.dims)
+        self.p_grid = tuple(_real(p, "p_grid entry") for p in self.p_grid)
+        self.checks = tuple(self.checks)
         if not self.dims:
             raise InputError("dims must not be empty")
         if not self.checks:
@@ -106,16 +106,14 @@ class HarnessConfig:
         for key, value in self.tolerances.items():
             if key not in _DEFAULT_TOLERANCES:
                 raise InputError(f"unknown tolerance {key!r}")
-            if not (isinstance(value, (int, float)) and value > 0):
+            if not _real(value, f"tolerance {key!r}") > 0:
                 raise InputError(f"tolerance {key!r} must be a positive number")
-        if not 0.0 < self.bm_constant <= 1.0:
+        if not 0.0 < _real(self.bm_constant, "bm_constant") <= 1.0:
             raise InputError("bm_constant must lie in (0, 1]")
         if any(d not in (2, 3) for d in self.dims):
             raise InputError("dims must be a subset of {2, 3}")
         if self.grid_resolution < 8:
             raise InputError("grid_resolution must be at least 8")
-        if not all(math.isfinite(p) for p in self.p_grid):
-            raise InputError("p grid orders must be finite numbers")
         for d in self.dims:
             if not self.orders_for(d):
                 raise InputError(f"p grid leaves no admissible orders for n = {d}")
@@ -183,7 +181,7 @@ def suite_bodies(config: HarnessConfig, dim: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# estimate cache with volume-product fallback for Fourier polars
+# bracket cache with volume-product fallback for Fourier polars
 # ---------------------------------------------------------------------------
 
 def _unsigned_zeros(x):
@@ -208,22 +206,25 @@ def _body_key(K: ConvexBody):
 
 @dataclass(eq=False, frozen=True)
 class _GpRecord:
-    value: float
-    tight: bool          # ellipsoid estimate that meets its closed form
-    kind: str            # "estimate" or "volume-cap"
-    cap_self: float      # objective at Q = K
+    """lower <= value <= upper, and the objective at Q = K.  The estimate
+    sets the end its order fixes, upper for p >= 0 and lower for p < 0; the
+    other end is 0.0 or inf unless the closed form sets it."""
+    lower: float
+    upper: float
+    at_k: float
+
+    def estimate(self, p):
+        return self.upper if p >= 0 else self.lower
 
 
 class _GpCache:
-    """Caches one-sided values of the geominimal functional per (body, p).
+    """Caches brackets of the geominimal functional per (body, p).
 
-    A quadric's value comes from the estimate of its normal form, kept per
-    (normal form, p), so all centered ellipsoids of one dimension share one
-    search of the unit ball per order.  Bodies the optimizer cannot handle
-    (Fourier polars, which have no surface measure) fall back to the
-    objective at Q = K, computed from volumes alone, which is a valid bound
-    on the same side.  In the default suites these polars are the only
-    bodies that take the fallback.
+    The estimate of a quadric's normal form, kept per (normal form, p), sets
+    one end for every quadric that shares it.  A Fourier polar, which has no
+    surface measure, takes the objective at Q = K from volumes alone, a bound
+    from the same side.  The closed form sets the other end of a centered
+    ellipsoid whose estimate meets it within the ``estimator`` tolerance.
     """
 
     def __init__(self, config: HarnessConfig):
@@ -256,16 +257,16 @@ class _GpCache:
     def _compute(self, K, p):
         try:
             est = self._estimate(K, p)
+            value, at_k = est.value, est.objective_at_K
         except (UnsupportedError, DomainError, InputError):
-            cap = math.exp(log_objective(K.dim, p, math.log(K.volume()),
-                                         math.log(K.polar().volume())))
-            return _GpRecord(cap, False, "volume-cap", cap)
-        # an ellipsoid estimate is tight only when it meets its closed form
-        tight = False
+            value = at_k = math.exp(log_objective(K.dim, p, math.log(K.volume()),
+                                                  math.log(K.polar().volume())))
+        other = 0.0 if p >= 0 else math.inf
         if is_centered_ellipsoid(K):
             exact = gp_ellipsoid_exact(np.linalg.det(K.matrix), K.dim, p)
-            tight = abs(est.value - exact) <= self.config.tolerances["estimator"] * exact
-        return _GpRecord(est.value, tight, "estimate", est.objective_at_K)
+            if abs(value - exact) <= self.config.tolerances["estimator"] * exact:
+                other = exact
+        return _GpRecord(other, value, at_k) if p >= 0 else _GpRecord(value, other, at_k)
 
 
 def gp_ellipsoid_exact(det: float, n: int, p: float) -> float:
@@ -277,26 +278,21 @@ def gp_ellipsoid_exact(det: float, n: int, p: float) -> float:
 # verdict helpers
 # ---------------------------------------------------------------------------
 
-def _one_sided(claim_upper: bool, bound_is_upper: bool, lhs, rhs, tol, tight):
-    """Verdict for 'lhs <= rhs' (claim_upper) or 'lhs >= rhs' given that lhs
-    is a one-sided bound of the true value.
+def _one_sided(claim_upper: bool, lower, upper, rhs, tol):
+    """Verdict for 'value <= rhs' (claim_upper) or 'value >= rhs' given
+    lower <= value <= upper.
 
-    Proving needs the bound on the claim's side; refuting needs it on the
-    opposite side (or a tight estimate)."""
-    slack = tol * max(abs(lhs), abs(rhs), 1e-300)
-    if claim_upper:
-        margin = rhs - lhs
-        satisfied = lhs <= rhs + slack
-        provable = bound_is_upper
-    else:
-        margin = lhs - rhs
-        satisfied = lhs >= rhs - slack
-        provable = not bound_is_upper
-    if satisfied:
-        verdict = PASS if (provable or tight) else INCONCLUSIVE
-    else:
-        verdict = FAIL if (tight or not provable) else INCONCLUSIVE
-    return margin, verdict
+    The end on the claim's side proves the claim and the other end refutes
+    it; the margin is taken at the claim-side end."""
+    def holds(x):
+        slack = tol * max(abs(x), abs(rhs), 1e-300)
+        return x <= rhs + slack if claim_upper else x >= rhs - slack
+
+    near, far = (upper, lower) if claim_upper else (lower, upper)
+    margin = rhs - near if claim_upper else near - rhs
+    if holds(near):
+        return margin, PASS
+    return margin, INCONCLUSIVE if holds(far) else FAIL
 
 
 def _instance(body=None, name="", **params) -> dict:
@@ -357,17 +353,18 @@ def check_homogeneity(K: ConvexBody, T, p: float, config: HarnessConfig,
     value(TK) = |det T|^{(n-p)/(n+p)} value(K).  On a centered ellipsoid it
     holds by construction: K and TK share the normal form B, and both values
     scale the one estimate of B, unless B, a fixed candidate in each body's
-    own frame, beats it on one side.  Other bodies check the objective
-    identity at Q = B."""
+    own frame, beats it on one side.  It passes when the two estimates agree
+    and fails only when the two brackets are disjoint.  Other bodies check
+    the objective identity at Q = B, whose two sides are exact."""
     cache = cache or _GpCache(config)
     n = K.dim
     T = np.asarray(T, dtype=float)
     factor = abs(np.linalg.det(T)) ** ((n - p) / (n + p))
     if is_centered_ellipsoid(K):
         rec_t, rec = cache.bound(K.linear_map(T), p), cache.bound(K, p)
-        lhs, rhs = rec_t.value, factor * rec.value
+        lhs, rhs = rec_t.estimate(p), factor * rec.estimate(p)
+        gap = max(rec_t.lower, factor * rec.lower) - min(rec_t.upper, factor * rec.upper)
         tol = config.tolerances["estimator"]
-        tight = rec_t.tight and rec.tight
         note = "tight ellipsoid estimates on both sides"
     else:
         # matched-candidate transform identity at the unit-ball probe
@@ -375,15 +372,15 @@ def check_homogeneity(K: ConvexBody, T, p: float, config: HarnessConfig,
         Q = ball(n)
         lhs = gp_objective(K.linear_map(T), Q.linear_map(T), p, grid)
         rhs = factor * gp_objective(K, Q, p, grid)
+        gap = abs(lhs - rhs)
         tol = config.tolerances["exact"]
-        tight = True     # both sides are exact objective values
         note = "objective transform identity at the unit-ball candidate"
     margin = rhs - lhs
-    if abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs)):
+    slack = tol * max(abs(lhs), abs(rhs))
+    if abs(lhs - rhs) <= slack:
         verdict = PASS
     else:
-        # a gap between estimates that miss their closed form refutes nothing
-        verdict = FAIL if tight else INCONCLUSIVE
+        verdict = FAIL if gap > slack else INCONCLUSIVE
     return CheckResult("homogeneity", _instance(K, name, p=p, det=float(np.linalg.det(T))),
                        lhs, rhs, margin, verdict, tol, note)
 
@@ -417,17 +414,17 @@ def check_volume_product_bound(K: ConvexBody, p: float, config: HarnessConfig,
     cache = cache or _GpCache(config)
     n = K.dim
     rec = cache.bound(K, p)
-    cap = rec.cap_self
+    value, cap = rec.estimate(p), rec.at_k
     tol = 1e-12
     results = []
-    margin = cap - rec.value if p >= 0 else rec.value - cap
+    margin = cap - value if p >= 0 else value - cap
     verdict = PASS if margin >= -tol * abs(cap) else FAIL
     results.append(CheckResult("volume_product_bound", _instance(K, name, p=p),
-                               rec.value, cap, margin, verdict, tol,
+                               value, cap, margin, verdict, tol,
                                "estimate capped by the objective at Q = K"))
 
     Kp = K.polar()
-    lhs = rec.value * cache.bound(Kp, p).value
+    lhs = value * cache.bound(Kp, p).estimate(p)
     rhs = n * n * K.volume() * Kp.volume()
     margin2 = rhs - lhs if p >= 0 else lhs - rhs
     verdict2 = PASS if margin2 >= -config.tolerances["quadrature"] * abs(rhs) else FAIL
@@ -454,13 +451,13 @@ def check_santalo_style(K: ConvexBody, p: float, config: HarnessConfig,
     Kp = Kc.polar()
     rec_k = cache.bound(Kc, p)
     rec_kp = cache.bound(Kp, p)
-    lhs = rec_k.value * rec_kp.value
-    tight = rec_k.tight and rec_kp.tight
+    lower, upper = rec_k.lower * rec_kp.lower, rec_k.upper * rec_kp.upper
+    lhs = upper if p >= 0 else lower
     omega = unit_ball_volume(n)
     tol = config.tolerances["estimator"]
     if p >= 0:
         rhs = (n * omega) ** 2
-        margin, verdict = _one_sided(True, True, lhs, rhs, tol, tight)
+        margin, verdict = _one_sided(True, lower, upper, rhs, tol)
         note = "upper-bound product against the ball value squared"
     else:
         rhs = config.bm_constant ** n * (n * omega) ** 2
@@ -471,7 +468,7 @@ def check_santalo_style(K: ConvexBody, p: float, config: HarnessConfig,
                                mk, exact_rhs, mk - exact_rhs, FAIL,
                                config.tolerances["quadrature"],
                                "exact volume-product leg violates the configured constant")
-        margin, verdict = _one_sided(False, False, lhs, rhs, tol, tight)
+        margin, verdict = _one_sided(False, lower, upper, rhs, tol)
         if verdict == INCONCLUSIVE:
             # the exact leg already proves the claim through the product cap
             margin = mk - exact_rhs
@@ -502,8 +499,8 @@ def check_isoperimetric(K: ConvexBody, p: float, config: HarnessConfig,
     if not centered and not (-n < p < 1 and abs(p) > 1e-12):
         raise InputError("uncentered variant needs p in (-n, 1), p != 0")
     rec = cache.bound(Kc, p)
-    value, tight = rec.value, rec.tight
-    lhs = value / (n * omega)
+    lower, upper = rec.lower / (n * omega), rec.upper / (n * omega)
+    lhs = upper if p >= 0 else lower
     vol_ratio = Kc.volume() / omega
     tol = config.tolerances["estimator"]
     if p >= 0:
@@ -511,20 +508,14 @@ def check_isoperimetric(K: ConvexBody, p: float, config: HarnessConfig,
         if centered:
             polar_ratio = Kc.polar().volume() / omega
             rhs = min(rhs, polar_ratio ** ((p - n) / (n + p)))
-        margin, verdict = _one_sided(True, True, lhs, rhs, tol, tight)
     elif p > -n:
         rhs = vol_ratio ** ((n - p) / (n + p))
-        margin, verdict = _one_sided(False, False, lhs, rhs, tol, tight)
     else:
+        # both lower bounds must hold, so the larger one decides
         polar_ratio = Kc.polar().volume() / omega
-        rhs1 = polar_ratio ** ((p - n) / (n + p))
-        rhs2 = config.bm_constant ** (n * p / (n + p)) * vol_ratio ** ((n - p) / (n + p))
-        rhs = max(rhs1, rhs2)
-        m1, v1 = _one_sided(False, False, lhs, rhs1, tol, tight)
-        m2, v2 = _one_sided(False, False, lhs, rhs2, tol, tight)
-        margin = min(m1, m2)
-        order = {FAIL: 0, INCONCLUSIVE: 1, PASS: 2}
-        verdict = min((v1, v2), key=order.get)
+        rhs = max(polar_ratio ** ((p - n) / (n + p)),
+                  config.bm_constant ** (n * p / (n + p)) * vol_ratio ** ((n - p) / (n + p)))
+    margin, verdict = _one_sided(p >= 0, lower, upper, rhs, tol)
     variant = "centered" if centered else "uncentered"
     return CheckResult("isoperimetric", _instance(K, name, p=p, variant=variant),
                        lhs, rhs, margin, verdict, tol,
@@ -557,13 +548,12 @@ def check_containment(E: Ellipsoid, K: ConvexBody, p: float, config: HarnessConf
     if not need:
         raise InputError("required containment does not hold for this instance")
     rec = cache.bound(K, p)
-    value, tight = rec.value, rec.tight
     rhs = gp_ellipsoid_exact(np.linalg.det(E.matrix), n, p)
     tol = config.tolerances["estimator"]
-    margin, verdict = _one_sided(upper, upper, value, rhs, tol, tight)
+    margin, verdict = _one_sided(upper, rec.lower, rec.upper, rhs, tol)
     return CheckResult("containment", _instance(K, name, p=p,
                                                 ellipsoid_det=float(np.linalg.det(E.matrix))),
-                       value, rhs, margin, verdict, tol,
+                       rec.estimate(p), rhs, margin, verdict, tol,
                        "containment comparison against the exact ellipsoid value")
 
 
@@ -577,8 +567,7 @@ def check_p_surface_comparison(K: ConvexBody, p: float, config: HarnessConfig,
     n = K.dim
     omega = unit_ball_volume(n)
     grid = default_grid(n, config.grid_resolution)
-    rec = cache.bound(K, p)
-    lhs = rec.value / (n * omega)
+    lhs = cache.bound(K, p).estimate(p) / (n * omega)
     sp = p_surface_area(K, p, grid)
     rhs = (sp / (n * omega)) ** (n / (n + p))
     tol = 1e-12

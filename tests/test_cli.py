@@ -364,6 +364,22 @@ def test_verify_rejects_malformed_integer_fields(tmp_path, capsys, config, field
     assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]
 
 
+@pytest.mark.parametrize("config, field", [
+    ({"dims": [2.0], "checks": ["translation_balls"]}, "dims"),
+    ({"bm_constant": True}, "bm_constant"), ({"tolerances": {"exact": True}}, "exact"),
+    ({"p_grid": [True, 1.0]}, "p_grid"), ({"p_grid": ["1"]}, "p_grid")],
+    ids=["dims-float", "bm_constant-bool", "tolerance-bool", "p_grid-bool", "p_grid-string"])
+def test_verify_rejects_mistyped_fields(tmp_path, capsys, config, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and not out.exists()
+    assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]
+
+
 @pytest.mark.parametrize("argv", [["polytope-hull", "2", "-3"], ["polytope-hull", "3", "3"],
                                   ["fourier2d", "2", "-3"]],
                          ids=["hull-negative", "hull-too-few-points", "fourier-negative"])

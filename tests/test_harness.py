@@ -58,21 +58,30 @@ def triangle():
 
 def test_one_sided_soundness_matrix():
     tol = 1e-9
-    # claim lhs <= rhs, lhs is an upper bound: satisfied -> proven pass
-    assert _one_sided(True, True, 1.0, 2.0, tol, False)[1] == "pass"
-    # violated with an upper bound: cannot refute
-    assert _one_sided(True, True, 3.0, 2.0, tol, False)[1] == "inconclusive"
-    # violated with a lower bound: refutation is sound
-    assert _one_sided(True, False, 3.0, 2.0, tol, False)[1] == "fail"
-    # satisfied with a lower bound only: not proven
-    assert _one_sided(True, False, 1.0, 2.0, tol, False)[1] == "inconclusive"
-    # tight estimates decide both ways
-    assert _one_sided(True, True, 3.0, 2.0, tol, True)[1] == "fail"
-    assert _one_sided(True, False, 1.0, 2.0, tol, True)[1] == "pass"
-    # mirrored claim lhs >= rhs
-    assert _one_sided(False, False, 2.0, 1.0, tol, False)[1] == "pass"
-    assert _one_sided(False, False, 0.5, 1.0, tol, False)[1] == "inconclusive"
-    assert _one_sided(False, True, 0.5, 1.0, tol, False)[1] == "fail"
+    # claim value <= rhs on an open bracket [0, upper]: the upper end proves
+    # it, and a violating upper end cannot refute it
+    assert _one_sided(True, 0.0, 1.0, 2.0, tol) == (1.0, "pass")
+    assert _one_sided(True, 0.0, 3.0, 2.0, tol) == (-1.0, "inconclusive")
+    # mirrored claim value >= rhs on [lower, inf]
+    assert _one_sided(False, 2.0, math.inf, 1.0, tol) == (1.0, "pass")
+    assert _one_sided(False, 0.5, math.inf, 1.0, tol) == (-0.5, "inconclusive")
+    # an open bracket never fails, whatever its set end reads
+    for rhs in (0.0, 1e-300, 1.0, 1e300):
+        for end in (0.0, 1.0, 1e300):
+            assert _one_sided(True, 0.0, end, rhs, tol)[1] != "fail"
+            assert _one_sided(False, end, math.inf, rhs, tol)[1] != "fail"
+    # a set far end that violates the claim refutes it
+    assert _one_sided(True, 2.5, 3.0, 2.0, tol)[1] == "fail"
+    assert _one_sided(False, 0.5, 0.75, 1.0, tol)[1] == "fail"
+    # ... but not while it satisfies it within tolerance
+    assert _one_sided(True, 2.0 * (1 + 1e-10), 3.0, 2.0, tol)[1] == "inconclusive"
+    # a closed bracket decides both ways, with the margin at the claim's end
+    assert _one_sided(True, 1.5, 1.5, 2.0, tol) == (0.5, "pass")
+    assert _one_sided(True, 3.0, 3.0, 2.0, tol) == (-1.0, "fail")
+    assert _one_sided(False, 2.0, 2.0, 1.0, tol) == (1.0, "pass")
+    assert _one_sided(False, 0.5, 0.5, 1.0, tol) == (-0.5, "fail")
+    # a zero margin is written as +0.0
+    assert math.copysign(1.0, _one_sided(True, 0.0, 2.0, 2.0, tol)[0]) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +272,21 @@ def test_config_validation():
         HarnessConfig(tolerances={"nonsense": 1e-3})
     with pytest.raises(InputError):
         HarnessConfig(tolerances={"exact": 0.0})
+    # mistyped fields: a float dimension, bools and strings among the reals
+    with pytest.raises(InputError, match="dims"):
+        HarnessConfig(dims=(2.0,))
+    with pytest.raises(InputError, match="bm_constant"):
+        HarnessConfig(bm_constant=True)
+    with pytest.raises(InputError, match="exact"):
+        HarnessConfig(tolerances={"exact": True})
+    for orders in ((True, 1.0), ("1",)):
+        with pytest.raises(InputError, match="p_grid"):
+            HarnessConfig(p_grid=orders)
+    # ints are kept as they are, so a config's bytes do not move
+    ints = HarnessConfig(p_grid=(-1, 1), bm_constant=1, tolerances={"exact": 1})
+    assert ints.to_dict()["p_grid"] == [-1, 1]
+    assert all(type(p) is int for p in ints.p_grid)
+    assert type(ints.bm_constant) is int and type(ints.tolerances["exact"]) is int
     cfg = HarnessConfig()
     assert -3.0 in cfg.orders_for(2)
     assert -3.0 not in cfg.orders_for(3)
@@ -377,7 +401,8 @@ def test_cache_keys_a_fourier_polar_on_its_parent(radial_solves):
     assert _body_key(F.polar()) == _body_key(F.polar())
     assert radial_solves == []     # the key reads no support sample
     rec = cache.bound(F.polar(), 0.5)
-    assert rec.kind == "volume-cap"
+    # the volume cap sets the order's end and leaves the other open
+    assert (rec.lower, rec.upper) == (0.0, rec.at_k)
     assert cache.bound(F.polar(), 0.5) is rec
     assert cache.bound(FourierBody2D(F.a, F.b).polar(), 0.5) is rec
     assert cache.bound(random_body("fourier2d", 2, seed=4).polar(), 0.5) is not rec
@@ -391,12 +416,63 @@ def test_volume_cap_solves_a_fourier_polar_once_per_body(radial_solves):
     # the polar of F's polar is F, whose volume needs no radial solve
     assert F.polar().polar() is F
     assert radial_solves == []
-    # each record is the cap that reads both volumes afresh
+    # each record is the one-sided cap that reads both volumes afresh
     n, P = 2, F.polar()
     for p, rec in zip(cfg.p_grid, records):
         log_j = math.log(n) + (n / (n + p)) * math.log(P.volume()) \
             + (p / (n + p)) * math.log(P.polar().volume())
-        assert rec.value == math.exp(log_j)
+        assert rec.estimate(p) == rec.at_k == math.exp(log_j)
+        assert (rec.lower, rec.upper) == ((0.0, rec.at_k) if p >= 0 else (rec.at_k, math.inf))
+
+
+def test_closed_form_sets_the_other_end_of_a_centered_ellipsoid():
+    cache = _GpCache(small_config())
+    rec = cache.bound(ball(2), 1.0)
+    # the estimate keeps the upper end; the closed form sets the lower one
+    assert rec.lower == 2 * math.pi == gp_ellipsoid_exact(1.0, 2, 1.0)
+    assert rec.upper == rec.estimate(1.0)
+    assert abs(rec.upper - rec.lower) <= 1e-4 * rec.lower
+    rec = cache.bound(ball(2), -1.0)
+    assert rec.upper == gp_ellipsoid_exact(1.0, 2, -1.0) and rec.lower == rec.estimate(-1.0)
+    # nothing sets the other end of a polytope
+    rec = cache.bound(square(), 1.0)
+    assert rec.lower == 0.0 and rec.upper == rec.estimate(1.0) <= rec.at_k
+    assert cache.bound(square(), -1.0).upper == math.inf
+
+
+class _StubCache:
+    """Serves one record for K and another for every other body."""
+
+    def __init__(self, K, base, image):
+        self.K, self.base, self.image = K, base, image
+
+    def bound(self, L, p):
+        return self.base if L is self.K else self.image
+
+
+def test_homogeneity_refutes_only_disjoint_brackets():
+    cfg = small_config()
+    K, T, p = ball(2), np.diag([2.0, 1.0]), 1.0
+    factor = 2.0 ** (1.0 / 3.0)
+    exact = gp_ellipsoid_exact(1.0, 2, p)
+    exact_t = gp_ellipsoid_exact(2.0, 2, p)
+    assert exact_t == pytest.approx(factor * exact, rel=1e-15)
+    # each estimate meets its closed form within the estimator tolerance, on
+    # either side of it; the two differ by 2e-4 relative, yet the closed-form
+    # ends satisfy the identity
+    base = harness._GpRecord(exact, exact * (1 + 0.99e-4), exact)
+    image = harness._GpRecord(exact_t, exact_t * (1 - 0.99e-4), exact_t)
+    res = check_homogeneity(K, T, p, cfg, _StubCache(K, base, image))
+    assert abs(res.lhs - res.rhs) > 1.9e-4 * res.rhs
+    assert res.verdict == "inconclusive"
+    # brackets apart by more than the tolerance refute the identity
+    image = harness._GpRecord(1.01 * exact_t, 1.01 * exact_t, exact_t)
+    res = check_homogeneity(K, T, p, cfg, _StubCache(K, base, image))
+    assert res.verdict == "fail"
+    # an open end never refutes
+    image = harness._GpRecord(0.0, 1.01 * exact_t, exact_t)
+    res = check_homogeneity(K, T, p, cfg, _StubCache(K, base, image))
+    assert res.verdict == "inconclusive"
 
 
 def test_centered_body_is_kept_on_the_body():
